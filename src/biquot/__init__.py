@@ -17,6 +17,7 @@ from .certify import (
     kernel_reference,
     kernel_solution,
     search_zero_plane,
+    search_zero_planes,
     sign_certificate,
 )
 from .embeddings import (

@@ -13,6 +13,7 @@ and -1 for ell = k.
 squared commutation residuals of conditions (B) and (C) over g0-orthonormal
 pairs inside the condition-(A) subspace by projected gradient descent with
 backtracking, so a flat plane would show up as a (near-)zero minimum.
+`search_zero_planes` runs that search for many angles as one batched descent.
 `bracket_floor` runs the same machinery to certify positive bracket floors
 on a subspace, the computable form of "commuting implies dependent".
 """
@@ -27,7 +28,7 @@ import scipy.linalg
 
 from . import liealg
 from .embeddings import point_p, rho_rank
-from .liealg import from_complex, to_complex, unvec_sp3
+from .liealg import to_complex, unvec_sp3
 from .zeroplane import horizontal_basis
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "kernel_solution",
     "p_subspace_basis",
     "search_zero_plane",
+    "search_zero_planes",
     "sign_certificate",
 ]
 
@@ -150,12 +152,16 @@ def kernel_solution(theta: float, ell: str) -> tuple[int, KernelSolution]:
     return dimension, KernelSolution(ell=ell, epsilon=eps, coords=coords)
 
 
-def kernel_match(theta: float, ell: str) -> float:
-    """|cosine| between the SVD kernel vector and the closed form."""
-    _, solution = kernel_solution(theta, ell)
+def _reference_match(theta: float, solution: KernelSolution) -> float:
     reference = kernel_reference(theta, solution.epsilon)
     denom = np.linalg.norm(solution.coords) * np.linalg.norm(reference)
     return float(abs(solution.coords @ reference) / denom)
+
+
+def kernel_match(theta: float, ell: str) -> float:
+    """|cosine| between the SVD kernel vector and the closed form."""
+    _, solution = kernel_solution(theta, ell)
+    return _reference_match(theta, solution)
 
 
 def reduced_pair_from_axis(coords: np.ndarray, ell: str):
@@ -242,12 +248,15 @@ def identity_suite() -> list[IdentityCheck]:
         detail=f"min(1 - 4 sin^2) = {g.min():.6e}, value at pi/6 = {gb:.3e}",
     ))
 
-    c = np.cos(grid6)
-    h = 2.0 * c**3 - 3.0 * c**2 + 1.0
+    def cubic(c):
+        return 2.0 * c**3 - 3.0 * c**2 + 1.0
+
+    h = cubic(np.cos(grid6))
+    hb = cubic(math.cos(0.0))
     checks.append(IdentityCheck(
         name="factorization-positivity",
-        passed=bool(np.all(h > 0.0) and abs(2.0 - 3.0 + 1.0) <= 1e-6),
-        detail=f"min(2c^3 - 3c^2 + 1) = {h.min():.6e}, value at 0 = 0",
+        passed=bool(np.all(h > 0.0) and abs(hb) <= 1e-6),
+        detail=f"min(2c^3 - 3c^2 + 1) = {h.min():.6e}, value at 0 = {hb:.3e}",
     ))
 
     grid4 = _open_grid(0.0, np.pi / 4.0)
@@ -267,83 +276,84 @@ def identity_suite() -> list[IdentityCheck]:
 # Projected gradient descent over orthonormal pairs
 # ---------------------------------------------------------------------------
 
-def _complex_mask(mask3: np.ndarray) -> np.ndarray:
-    return np.kron(mask3, np.ones((2, 2)))
+# Complex 6x6 image of each unit coordinate vector of R^21, flattened to a row
+# of 36 entries, and its entrywise-transposed twin for pulling gradients back.
+_UNIT_IMAGES = to_complex(unvec_sp3(np.eye(21)))
+_IMAGE = _UNIT_IMAGES.reshape(21, 36)
+_PULLBACK = np.swapaxes(_UNIT_IMAGES, -2, -1).reshape(21, 36).T
+
+# Entries of a complex image that the k coordinates 0..12 of R^21 reach; the
+# p coordinates 13..20 reach exactly the other entries.
+_K_ENTRIES = np.any(_UNIT_IMAGES[:13] != 0, axis=0)
+_KP_MASKS = np.stack([_K_ENTRIES, ~_K_ENTRIES]).astype(float)
 
 
-_K3 = np.zeros((3, 3))
-_K3[:2, :2] = 1.0
-_K3[2, 2] = 1.0
-_KC = _complex_mask(_K3)
-_PC = _complex_mask(1.0 - _K3)
+def _skew(ab: np.ndarray) -> np.ndarray:
+    # [a, b] = ab - (ab)^H when a and b are skew-Hermitian, at one matmul;
+    # overwrites the product ab
+    ab -= np.conj(np.swapaxes(ab, -2, -1))
+    return ab
 
 
-def _com(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def _rows_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a[..., i, :, :] @ z[...] for every i, as one matmul over stacked rows."""
+    return (a.reshape(a.shape[:-3] + (-1, 6)) @ z).reshape(a.shape)
 
 
 def _norm_sq(a: np.ndarray) -> np.ndarray:
     # g0 norm squared of a skew-Hermitian complex image
-    return 0.5 * np.sum(a.real**2 + a.imag**2, axis=(-2, -1))
+    flat = a.reshape(a.shape[:-2] + (36,)).view(float)
+    return 0.5 * np.einsum("...i,...i->...", flat, flat)
 
 
 class _PairObjective:
-    """Squared (B)+(C) commutation residuals of a coordinate pair.
+    """Squared (B)+(C) commutation residuals of coordinate pairs, batched
+    over frames that may sit at different angles.
 
-    Coordinates live in a subspace basis of R^21; matrices are handled in
-    their complex images throughout.
+    Frame s holds its pair in the horizontal basis of angle `angle[s]`.  The
+    objective keeps, per angle, only that (21, 15) basis and the complex
+    image of p(theta); R^21 coordinates become complex images through the
+    shared `_IMAGE` map.  Every image involved is skew-Hermitian, and the k
+    part of one is block-diagonal, the p part off-diagonal.
     """
 
-    def __init__(self, basis21: np.ndarray, p_matrix: np.ndarray):
-        self.basis = np.asarray(basis21, dtype=float)
-        self.elems = to_complex(unvec_sp3(self.basis.T))
-        p = to_complex(p_matrix)
-        self.p = p
-        self.ph = p.conj().T
+    def __init__(self, bases: np.ndarray, p_matrices: np.ndarray, angle: np.ndarray):
+        self.bases = np.asarray(bases, dtype=float)
+        self.p = to_complex(p_matrices)
+        self.ph = np.conj(np.swapaxes(self.p, -2, -1))
+        self.angle = np.asarray(angle, dtype=np.intp)
 
-    def _pair(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.einsum("sd,dab->sab", coords[..., 0], self.elems)
-        y = np.einsum("sd,dab->sab", coords[..., 1], self.elems)
-        return x, y
+    def _terms(self, coords: np.ndarray, frames):
+        angle = self.angle if frames is None else self.angle[frames]
+        basis = self.bases[angle]
+        p, ph = self.p[angle, None], self.ph[angle, None]
+        # axes: frame, (pair, pair transported by p^-1), (x, y)
+        pairs = np.empty((len(angle), 2, 2, 6, 6), dtype=complex)
+        pairs[:, 0] = (np.swapaxes(basis @ coords, -2, -1) @ _IMAGE).reshape(-1, 2, 6, 6)
+        pairs[:, 1] = ph @ pairs[:, 0] @ p
+        z = _skew(pairs[:, 0, 0] @ pairs[:, 0, 1])
+        # [x_k, y_k] and [x_p, y_p] are the k parts of [x, y_k] and [x, y_p]
+        zs = _skew(pairs[:, :, 0, None] @ (pairs[:, :, 1, None] * _KP_MASKS))
+        zs *= _K_ENTRIES
+        value = _norm_sq(z) + _norm_sq(zs).sum(axis=(1, 2))
+        return value, (basis, p, ph, pairs, z, zs)
 
-    def _terms(self, x, y):
-        z = _com(x, y)
-        zk = _com(x * _KC, y * _KC)
-        zp = _com(x * _PC, y * _PC)
-        xa = self.ph @ x @ self.p
-        ya = self.ph @ y @ self.p
-        zak = _com(xa * _KC, ya * _KC)
-        zap = _com(xa * _PC, ya * _PC)
-        return z, zk, zp, xa, ya, zak, zap
-
-    def value(self, coords: np.ndarray) -> np.ndarray:
-        x, y = self._pair(coords)
-        z, zk, zp, _, _, zak, zap = self._terms(x, y)
-        return (_norm_sq(z) + _norm_sq(zk) + _norm_sq(zp)
-                + _norm_sq(zak) + _norm_sq(zap))
+    def value(self, coords: np.ndarray, frames=None) -> np.ndarray:
+        """Objective at `coords`, which hold the frames `frames` (all if None)."""
+        return self._terms(coords, frames)[0]
 
     def value_and_grad(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x, y = self._pair(coords)
-        z, zk, zp, xa, ya, zak, zap = self._terms(x, y)
-        value = (_norm_sq(z) + _norm_sq(zk) + _norm_sq(zp)
-                 + _norm_sq(zak) + _norm_sq(zap))
-
-        def transport_back(w):
-            return self.p @ w @ self.ph
-
-        gx = 2.0 * (_com(y, z)
-                    + _KC * _com(y * _KC, zk)
-                    + _PC * _com(y * _PC, zp)
-                    + transport_back(_KC * _com(ya * _KC, zak)
-                                     + _PC * _com(ya * _PC, zap)))
-        gy = -2.0 * (_com(x, z)
-                     + _KC * _com(x * _KC, zk)
-                     + _PC * _com(x * _PC, zp)
-                     + transport_back(_KC * _com(xa * _KC, zak)
-                                      + _PC * _com(xa * _PC, zap)))
-        gu = -0.5 * np.real(np.einsum("sab,dba->sd", gx, self.elems))
-        gv = -0.5 * np.real(np.einsum("sab,dba->sd", gy, self.elems))
-        return value, np.stack([gu, gv], axis=-1)
+        value, (basis, p, ph, pairs, z, zs) = self._terms(coords, None)
+        # The y gradient pulls back [x, z] + [x_k, zk] + [x_p, zp], with the
+        # transported terms carried back by p; the x gradient is minus the same
+        # with y.  x_k zk + x_p zp is the k part of x zk plus the p part of x zp.
+        kp = _rows_times(pairs, zs[:, :, 0])
+        np.copyto(kp, _rows_times(pairs, zs[:, :, 1]), where=~_K_ENTRIES)
+        kp = _skew(kp)
+        total = _skew(_rows_times(pairs[:, 0], z)) + kp[:, 0] + p @ kp[:, 1] @ ph
+        grad21 = (total.reshape(-1, 2, 36) @ _PULLBACK).real[:, ::-1]
+        grad21[:, 0] *= -1.0
+        return value, np.swapaxes(grad21 @ basis, -2, -1)
 
 
 class _BracketObjective:
@@ -358,16 +368,16 @@ class _BracketObjective:
         y = np.einsum("sd,dab->sab", coords[..., 1], self.elems)
         return x, y
 
-    def value(self, coords: np.ndarray) -> np.ndarray:
+    def value(self, coords: np.ndarray, frames=None) -> np.ndarray:
         x, y = self._pair(coords)
-        return _norm_sq(_com(x, y))
+        return _norm_sq(_skew(x @ y))
 
     def value_and_grad(self, coords: np.ndarray):
         x, y = self._pair(coords)
-        z = _com(x, y)
+        z = _skew(x @ y)
         value = _norm_sq(z)
-        gu = -0.5 * np.real(np.einsum("sab,dba->sd", 2.0 * _com(y, z), self.elems))
-        gv = -0.5 * np.real(np.einsum("sab,dba->sd", -2.0 * _com(x, z), self.elems))
+        gu = -0.5 * np.real(np.einsum("sab,dba->sd", 2.0 * _skew(y @ z), self.elems))
+        gv = -0.5 * np.real(np.einsum("sab,dba->sd", -2.0 * _skew(x @ z), self.elems))
         return value, np.stack([gu, gv], axis=-1)
 
 
@@ -387,8 +397,11 @@ def _stiefel_descent(objective, u0: np.ndarray, iterations: int,
                      max_halvings: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Batched descent over orthonormal 2-frames with backtracking line search.
 
-    Each batch member keeps its own step size; converged or stalled members
-    freeze in place.  Returns final frames and objective values.
+    Each batch member keeps its own step size and moves independently of the
+    others, so one descent may carry frames of several angles; converged or
+    stalled members freeze in place.  The line search hands
+    `objective.value` the indices of the frames it is still trying.  Returns
+    final frames and objective values.
     """
     u = np.array(u0, dtype=float)
     value, grad = objective.value_and_grad(u)
@@ -409,7 +422,7 @@ def _stiefel_descent(objective, u0: np.ndarray, iterations: int,
                 break
             idx = np.where(todo)[0]
             cand = _retract(u[idx] - trial[idx, None, None] * tangent[idx])
-            cand_value = objective.value(cand)
+            cand_value = objective.value(cand, idx)
             ok = cand_value <= value[idx] - armijo * trial[idx] * gnorm_sq[idx]
             u[idx[ok]] = cand[ok]
             value[idx[ok]] = cand_value[ok]
@@ -432,6 +445,72 @@ class SearchReport:
     argmin_pair: tuple[np.ndarray, np.ndarray]
 
 
+# Largest number of frames one descent carries; longer scans run in
+# consecutive groups of whole rows so memory stays bounded.
+MAX_DESCENT_FRAMES = 1024
+
+
+def _search_rows(thetas, starts: int, iterations: int, seeds) -> list[SearchReport]:
+    """One descent over every start frame of every angle in `thetas`."""
+    points = [point_p(theta) for theta in thetas]
+    bases = [horizontal_basis(pt) for pt in points]
+    for basis in bases:
+        if basis.shape[1] != 15:
+            raise ValueError(
+                f"degenerate horizontal space of dimension {basis.shape[1]}, expected 15")
+    objective = _PairObjective(np.stack(bases), np.stack([pt.matrix for pt in points]),
+                               np.repeat(np.arange(len(points)), starts))
+    u0 = np.stack([
+        np.random.default_rng(seed + index).standard_normal((15, 2))
+        for seed in seeds for index in range(starts)
+    ])
+    u, value = _stiefel_descent(objective, _retract(u0), iterations)
+
+    reports = []
+    for row, (theta, basis) in enumerate(zip(thetas, bases)):
+        best = row * starts + int(np.argmin(value[row * starts:(row + 1) * starts]))
+        coords = basis @ u[best]
+        reports.append(SearchReport(
+            theta=theta,
+            starts=starts,
+            iterations=iterations,
+            min_residual=float(math.sqrt(max(float(value[best]), 0.0))),
+            argmin_pair=(unvec_sp3(coords[:, 0]), unvec_sp3(coords[:, 1])),
+        ))
+    return reports
+
+
+def _search_sizes(starts, iterations) -> tuple[int, int]:
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts!r}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be non-negative, got {iterations!r}")
+    return int(starts), int(iterations)
+
+
+def search_zero_planes(thetas, starts: int, iterations: int, seeds) -> list[SearchReport]:
+    """`search_zero_plane` at every angle of `thetas`, run as one batched descent.
+
+    Angle r draws its start frames from seeds[r] + index, exactly as
+    `search_zero_plane(thetas[r], starts, iterations, seeds[r])` would, and
+    every frame descends independently, so each report matches the
+    one-angle search.  Rows go through the descent in consecutive groups of
+    at most `MAX_DESCENT_FRAMES` frames (one row per group if a row alone is
+    larger).
+    """
+    starts, iterations = _search_sizes(starts, iterations)
+    thetas = [float(theta) for theta in thetas]
+    seeds = [int(seed) for seed in seeds]
+    if len(seeds) != len(thetas):
+        raise ValueError(f"got {len(seeds)} seeds for {len(thetas)} angles")
+    group = max(1, MAX_DESCENT_FRAMES // starts)
+    reports: list[SearchReport] = []
+    for first in range(0, len(thetas), group):
+        reports += _search_rows(thetas[first:first + group], starts, iterations,
+                                seeds[first:first + group])
+    return reports
+
+
 def search_zero_plane(theta: float, starts: int = 200, iterations: int = 500,
                       seed: int = 0) -> SearchReport:
     """Minimize the (B)+(C) residuals over orthonormal condition-(A) pairs.
@@ -441,29 +520,8 @@ def search_zero_plane(theta: float, starts: int = 200, iterations: int = 500,
     reported residual is the g0 norm of the stacked commutators at the best
     frame found.
     """
-    if starts < 1:
-        raise ValueError(f"starts must be at least 1, got {starts!r}")
-    pt = point_p(theta)
-    basis = horizontal_basis(pt)
-    if basis.shape[1] != 15:
-        raise ValueError(
-            f"degenerate horizontal space of dimension {basis.shape[1]}, expected 15")
-    objective = _PairObjective(basis, pt.matrix)
-    u0 = np.stack([
-        np.random.default_rng(seed + index).standard_normal((15, 2))
-        for index in range(int(starts))
-    ])
-    u, value = _stiefel_descent(objective, _retract(u0), iterations)
-    best = int(np.argmin(value))
-    coords = basis @ u[best]
-    pair = (unvec_sp3(coords[:, 0]), unvec_sp3(coords[:, 1]))
-    return SearchReport(
-        theta=float(theta),
-        starts=int(starts),
-        iterations=int(iterations),
-        min_residual=float(math.sqrt(max(float(value[best]), 0.0))),
-        argmin_pair=pair,
-    )
+    starts, iterations = _search_sizes(starts, iterations)
+    return _search_rows([float(theta)], starts, iterations, [int(seed)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +630,8 @@ def certify_theta(theta: float) -> Certificate:
     matches: dict[str, float] = {}
     for ell in ("j", "k"):
         try:
-            dim, solution = kernel_solution(theta, ell)
-            reference = kernel_reference(theta, solution.epsilon)
-            denom = np.linalg.norm(solution.coords) * np.linalg.norm(reference)
-            matches[ell] = float(abs(solution.coords @ reference) / denom)
-            dims[ell] = dim
+            dims[ell], solution = kernel_solution(theta, ell)
+            matches[ell] = _reference_match(theta, solution)
         except ValueError:
             dims[ell] = 0
             matches[ell] = 0.0

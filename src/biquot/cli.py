@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,23 +75,6 @@ def cmd_check(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_row(index: int, theta: float, starts: int, iterations: int, seed: int) -> str:
-    cert = certify.certify_theta(theta)
-    report = certify.search_zero_plane(theta, starts=starts, iterations=iterations,
-                                       seed=seed + 100003 * index)
-    return ",".join([
-        _fmt(theta),
-        str(cert.rho_rank),
-        str(cert.kernel_dim_j),
-        str(cert.kernel_dim_k),
-        _fmt(cert.kernel_match_j),
-        _fmt(cert.kernel_match_k),
-        _bool(cert.sign_ok),
-        _fmt(report.min_residual),
-        cert.verdict,
-    ])
-
-
 def cmd_scan(args) -> int:
     lo = math.radians(args.theta_from) if args.degrees else float(args.theta_from)
     hi = math.radians(args.theta_to) if args.degrees else float(args.theta_to)
@@ -103,18 +84,22 @@ def cmd_scan(args) -> int:
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps!r}")
 
-    thetas = np.linspace(lo, hi, args.steps)
-
-    def row(index: int) -> str:
-        return _scan_row(index, float(thetas[index]), args.starts,
-                         args.iterations, args.seed)
-
-    workers = int(os.environ.get("BIQUOT_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(args.steps)))
-    else:
-        rows = [row(index) for index in range(args.steps)]
+    thetas = [float(theta) for theta in np.linspace(lo, hi, args.steps)]
+    certs = [certify.certify_theta(theta) for theta in thetas]
+    reports = certify.search_zero_planes(
+        thetas, args.starts, args.iterations,
+        [args.seed + 100003 * row for row in range(args.steps)])
+    rows = [",".join([
+        _fmt(cert.theta),
+        str(cert.rho_rank),
+        str(cert.kernel_dim_j),
+        str(cert.kernel_dim_k),
+        _fmt(cert.kernel_match_j),
+        _fmt(cert.kernel_match_k),
+        _bool(cert.sign_ok),
+        _fmt(report.min_residual),
+        cert.verdict,
+    ]) for cert, report in zip(certs, reports)]
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")

@@ -137,6 +137,62 @@ def test_search_residual_matches_condition_residuals():
     assert report.min_residual == pytest.approx(np.hypot(b, c), rel=1e-9)
 
 
+def test_batched_objective_gradient_and_residuals():
+    thetas = (0.05, PI12, 0.45)
+    points = [embeddings.point_p(theta) for theta in thetas]
+    bases = [zeroplane.horizontal_basis(pt) for pt in points]
+    angle = np.array([0, 1, 2, 1, 0, 2, 2])
+    objective = certify._PairObjective(
+        np.stack(bases), np.stack([pt.matrix for pt in points]), angle)
+    rng = np.random.default_rng(4)
+    u = certify._retract(rng.standard_normal((angle.size, 15, 2)))
+    value, grad = objective.value_and_grad(u)
+
+    for frame, a in enumerate(angle):
+        coords = bases[a] @ u[frame]
+        x, y = liealg.unvec_sp3(coords[:, 0]), liealg.unvec_sp3(coords[:, 1])
+        expected = np.hypot(zeroplane.conditionB_residual(x, y),
+                            zeroplane.conditionC_residual(x, y, points[a]))
+        assert np.sqrt(value[frame]) == pytest.approx(expected, rel=1e-9)
+
+    step = 1e-6
+    for _ in range(3):
+        direction = certify._tangent_project(u, rng.standard_normal(u.shape))
+        direction /= np.linalg.norm(direction, axis=(1, 2), keepdims=True)
+        slope = (objective.value(u + step * direction)
+                 - objective.value(u - step * direction)) / (2.0 * step)
+        predicted = np.einsum("sij,sij->s", grad, direction)
+        assert slope == pytest.approx(predicted, rel=1e-6, abs=1e-9)
+
+    subset = np.array([5, 1])
+    assert np.array_equal(objective.value(u[subset], subset), value[subset])
+
+
+def test_batched_search_matches_one_angle_searches(monkeypatch):
+    thetas = [0.1, 0.2, 0.3]
+    seeds = [3, 100006, 200009]
+    # three starts per angle against a two-frame cap: one angle per descent
+    monkeypatch.setattr(certify, "MAX_DESCENT_FRAMES", 2)
+    grouped = certify.search_zero_planes(thetas, 3, 40, seeds)
+    monkeypatch.undo()
+    batched = certify.search_zero_planes(thetas, 3, 40, seeds)
+    for theta, seed, a, b in zip(thetas, seeds, grouped, batched):
+        single = certify.search_zero_plane(theta, starts=3, iterations=40, seed=seed)
+        assert (a.theta, a.starts, a.iterations) == (theta, 3, 40)
+        for report in (a, b):
+            assert report.min_residual == pytest.approx(single.min_residual, rel=1e-9)
+            assert np.allclose(report.argmin_pair[0], single.argmin_pair[0], atol=1e-9)
+
+
+def test_search_rejects_negative_iterations_and_seed_mismatch():
+    with pytest.raises(ValueError, match="iterations"):
+        certify.search_zero_plane(PI12, starts=2, iterations=-1)
+    with pytest.raises(ValueError, match="iterations"):
+        certify.search_zero_planes([PI12], 2, -5, [0])
+    with pytest.raises(ValueError, match="seeds"):
+        certify.search_zero_planes([0.1, 0.2], 2, 5, [0])
+
+
 def test_search_rejects_bad_starts():
     with pytest.raises(ValueError, match="starts"):
         certify.search_zero_plane(PI12, starts=0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from biquot import cli
+from biquot import certify, cli
 
 
 def run(capsys, argv):
@@ -26,6 +26,14 @@ def test_check_both_mode_runs_search(capsys):
         "--starts", "6", "--iterations", "80", "--seed", "3"])
     assert code == 0
     assert "min residual" in out
+
+
+def test_check_negative_iterations_exit_one(capsys):
+    code, out, err = run(capsys, ["check", "--theta", "0.26", "--mode", "both",
+                                  "--iterations", "-5"])
+    assert code == 1
+    assert "iterations" in err
+    assert "verdict" not in out
 
 
 def test_check_inconclusive_exit_two(capsys):
@@ -87,16 +95,38 @@ def test_scan_rows_and_determinism(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_scan_parallel_rows_match_serial(tmp_path, capsys, monkeypatch):
-    args = ["scan", "--from", "0.1", "--to", "0.3", "--steps", "4",
-            "--seed", "2", "--starts", "2", "--iterations", "30"]
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert cli.main(args + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("BIQUOT_THREADS", "3")
-    assert cli.main(args + ["--out", str(parallel)]) == 0
+def test_scan_batched_rows_match_per_angle_search(tmp_path, capsys):
+    seed, starts, iterations = 2, 2, 30
+    thetas = np.linspace(0.1, 0.3, 4)
+    path = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--from", "0.1", "--to", "0.3", "--steps", "4",
+                     "--seed", str(seed), "--starts", str(starts),
+                     "--iterations", str(iterations), "--out", str(path)]) == 0
     capsys.readouterr()
-    assert serial.read_bytes() == parallel.read_bytes()
+    header, *rows = path.read_text().strip().split("\n")
+    assert header == cli.CSV_HEADER
+    assert len(rows) == len(thetas)
+    for row, (line, theta) in enumerate(zip(rows, thetas)):
+        cert = certify.certify_theta(float(theta))
+        report = certify.search_zero_plane(float(theta), starts=starts,
+                                           iterations=iterations,
+                                           seed=seed + 100003 * row)
+        *verdict_columns, min_residual, verdict = line.split(",")
+        assert verdict_columns + [verdict] == [
+            format(float(theta), ".17g"), str(cert.rho_rank), str(cert.kernel_dim_j),
+            str(cert.kernel_dim_k), format(cert.kernel_match_j, ".17g"),
+            format(cert.kernel_match_k, ".17g"), "true" if cert.sign_ok else "false",
+            cert.verdict]
+        assert float(min_residual) == pytest.approx(report.min_residual, rel=1e-9)
+
+
+def test_scan_negative_iterations_exit_one(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    code, _, err = run(capsys, ["scan", "--from", "0.1", "--to", "0.2", "--steps", "2",
+                                "--starts", "1", "--iterations", "-1", "--out", str(out)])
+    assert code == 1
+    assert "iterations" in err
+    assert not out.exists()
 
 
 def test_scan_invalid_range_exit_one(tmp_path, capsys):
