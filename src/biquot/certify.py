@@ -12,10 +12,13 @@ and -1 for ell = k.
 `search_zero_plane` is the independent numerical check: it minimizes the
 squared commutation residuals of conditions (B) and (C) over g0-orthonormal
 pairs inside the condition-(A) subspace by projected gradient descent with
-backtracking, so a flat plane would show up as a (near-)zero minimum.
-`search_zero_planes` runs that search for many angles as one batched descent.
-`bracket_floor` runs the same machinery to certify positive bracket floors
-on a subspace, the computable form of "commuting implies dependent".
+backtracking, so a flat plane would show up as a (near-)zero minimum.  Every
+residual term is an antisymmetric bilinear bracket, so the objective is a
+fixed real quadratic form in the wedge x ^ y, built once per angle from the
+sp(3) structure constants.  `search_zero_planes` runs that search for many
+angles as one batched descent.  `bracket_floor` minimizes the same kind of
+form, the squared bracket on a subspace, to certify positive bracket floors,
+the computable form of "commuting implies dependent".
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 import scipy.linalg
 
 from . import liealg
-from .embeddings import point_p, rho_rank
-from .liealg import to_complex, unvec_sp3
+from .embeddings import ThetaPoint, point_p, rho_rank
+from .liealg import unvec_sp3
 from .zeroplane import horizontal_basis
 
 __all__ = [
@@ -273,112 +276,103 @@ def identity_suite() -> list[IdentityCheck]:
 
 
 # ---------------------------------------------------------------------------
-# Projected gradient descent over orthonormal pairs
+# Bracket residuals as quadratic forms on wedges, and projected gradient
+# descent over orthonormal pairs
 # ---------------------------------------------------------------------------
 
-# Complex 6x6 image of each unit coordinate vector of R^21, flattened to a row
-# of 36 entries, and its entrywise-transposed twin for pulling gradients back.
-_UNIT_IMAGES = to_complex(unvec_sp3(np.eye(21)))
-_IMAGE = _UNIT_IMAGES.reshape(21, 36)
-_PULLBACK = np.swapaxes(_UNIT_IMAGES, -2, -1).reshape(21, 36).T
-
-# Entries of a complex image that the k coordinates 0..12 of R^21 reach; the
-# p coordinates 13..20 reach exactly the other entries.
-_K_ENTRIES = np.any(_UNIT_IMAGES[:13] != 0, axis=0)
-_KP_MASKS = np.stack([_K_ENTRIES, ~_K_ENTRIES]).astype(float)
+# Structure constants of sp(3) on the g0-orthonormal coordinates of R^21:
+# [e_i, e_j] = sum_k _STRUCTURE[i, j, k] e_k.  Coordinates 0..12 span the k
+# summand and 13..20 the p summand; [k, k] and [p, p] both lie in k.
+_UNITS = unvec_sp3(np.eye(21))
+_STRUCTURE = liealg.vec_sp3(liealg.bracket(_UNITS[:, None], _UNITS[None, :]))
+_K, _P = slice(0, 13), slice(13, 21)
 
 
-def _skew(ab: np.ndarray) -> np.ndarray:
-    # [a, b] = ab - (ab)^H when a and b are skew-Hermitian, at one matmul;
-    # overwrites the product ab
-    ab -= np.conj(np.swapaxes(ab, -2, -1))
-    return ab
+def _wedge_terms(vectors: np.ndarray, structure: np.ndarray) -> np.ndarray:
+    """Rows a < b of [v_a, v_b] for the columns v_a of `vectors`, so that the
+    bracket of x = V u and y = V v is (u ^ v) times this matrix."""
+    dim, count = vectors.shape
+    half = (vectors.T @ structure.reshape(dim, -1)).reshape(count, dim, -1)
+    return (vectors.T @ half)[np.triu_indices(count, 1)]
 
 
-def _rows_times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a[..., i, :, :] @ z[...] for every i, as one matmul over stacked rows."""
-    return (a.reshape(a.shape[:-3] + (-1, 6)) @ z).reshape(a.shape)
+def _compress(terms: np.ndarray) -> np.ndarray:
+    """Factor L of rank r with L L^T = terms terms^T, from a thin SVD."""
+    left, svals, _ = np.linalg.svd(terms, full_matrices=False)
+    rank = int(np.sum(svals > svals[0] * max(terms.shape) * np.finfo(float).eps))
+    return left[:, :rank] * svals[:rank]
 
 
-def _norm_sq(a: np.ndarray) -> np.ndarray:
-    # g0 norm squared of a skew-Hermitian complex image
-    flat = a.reshape(a.shape[:-2] + (36,)).view(float)
-    return 0.5 * np.einsum("...i,...i->...", flat, flat)
+def _pair_form(basis: np.ndarray, pt: ThetaPoint) -> np.ndarray:
+    """Form of the squared (B)+(C) residuals at the point `pt` on wedges of
+    `basis` columns.
+
+    The terms are [x, y], the k-k and p-p brackets of the pair, and the same
+    two brackets of the pair moved by Ad_{p^-1}.
+    """
+    transport = liealg.vec_sp3(liealg.adjoint(liealg.group_inverse(pt.matrix), _UNITS)).T
+    terms = [_wedge_terms(basis, _STRUCTURE)]
+    for vectors in (basis, transport @ basis):
+        terms.append(_wedge_terms(vectors[_K], _STRUCTURE[_K, _K, _K]))
+        terms.append(_wedge_terms(vectors[_P], _STRUCTURE[_P, _P, _K]))
+    return _compress(np.hstack(terms))
 
 
-class _PairObjective:
-    """Squared (B)+(C) commutation residuals of coordinate pairs, batched
-    over frames that may sit at different angles.
+class _WedgeObjective:
+    """Squared norm |(x ^ y) L|^2 of orthonormal coordinate pairs (x, y),
+    batched over frames that may use different forms L.
 
-    Frame s holds its pair in the horizontal basis of angle `angle[s]`.  The
-    objective keeps, per angle, only that (21, 15) basis and the complex
-    image of p(theta); R^21 coordinates become complex images through the
-    shared `_IMAGE` map.  Every image involved is skew-Hermitian, and the k
-    part of one is block-diagonal, the p part off-diagonal.
+    Every residual the searches minimize is a sum of squared brackets, each
+    bilinear and antisymmetric in the pair, so it is a fixed quadratic form
+    in the wedge coordinates x_a y_b - x_b y_a (a < b).  Frame s uses
+    forms[group[s]], or forms[0] when `group` is None; forms of lower rank
+    are padded with zero columns.  Each frame goes through its own small
+    matmul, so its value does not depend on which other frames share the
+    batch.
     """
 
-    def __init__(self, bases: np.ndarray, p_matrices: np.ndarray, angle: np.ndarray):
-        self.bases = np.asarray(bases, dtype=float)
-        self.p = to_complex(p_matrices)
-        self.ph = np.conj(np.swapaxes(self.p, -2, -1))
-        self.angle = np.asarray(angle, dtype=np.intp)
+    def __init__(self, forms, group=None):
+        self.forms = np.zeros((len(forms), len(forms[0]), max(f.shape[1] for f in forms)))
+        for out, form in zip(self.forms, forms):
+            out[:, :form.shape[1]] = form
+        self.group = None if group is None else np.asarray(group, dtype=np.intp)
+        # d(d-1)/2 wedge rows for pairs in R^d
+        self.upper = np.triu_indices(math.isqrt(2 * len(forms[0])) + 1, 1)
 
-    def _terms(self, coords: np.ndarray, frames):
-        angle = self.angle if frames is None else self.angle[frames]
-        basis = self.bases[angle]
-        p, ph = self.p[angle, None], self.ph[angle, None]
-        # axes: frame, (pair, pair transported by p^-1), (x, y)
-        pairs = np.empty((len(angle), 2, 2, 6, 6), dtype=complex)
-        pairs[:, 0] = (np.swapaxes(basis @ coords, -2, -1) @ _IMAGE).reshape(-1, 2, 6, 6)
-        pairs[:, 1] = ph @ pairs[:, 0] @ p
-        z = _skew(pairs[:, 0, 0] @ pairs[:, 0, 1])
-        # [x_k, y_k] and [x_p, y_p] are the k parts of [x, y_k] and [x, y_p]
-        zs = _skew(pairs[:, :, 0, None] @ (pairs[:, :, 1, None] * _KP_MASKS))
-        zs *= _K_ENTRIES
-        value = _norm_sq(z) + _norm_sq(zs).sum(axis=(1, 2))
-        return value, (basis, p, ph, pairs, z, zs)
+    def _residuals(self, coords: np.ndarray, frames):
+        """Runs of frames sharing a form, as (frames, form), and every
+        frame's residual row (wedge) L."""
+        x, y = coords[..., 0], coords[..., 1]
+        a, b = self.upper
+        wedge = x[:, a] * y[:, b] - x[:, b] * y[:, a]
+        if self.group is None:
+            group = np.zeros(len(coords), dtype=np.intp)
+        else:
+            group = self.group if frames is None else self.group[frames]
+        cuts = [0, *(np.flatnonzero(np.diff(group)) + 1), len(coords)]
+        runs = [(slice(lo, hi), self.forms[group[lo]]) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        res = np.empty((len(coords), 1, self.forms.shape[2]))
+        for run, form in runs:
+            np.matmul(wedge[run, None], form, out=res[run])
+        return runs, res[:, 0]
 
     def value(self, coords: np.ndarray, frames=None) -> np.ndarray:
         """Objective at `coords`, which hold the frames `frames` (all if None)."""
-        return self._terms(coords, frames)[0]
+        return np.square(self._residuals(coords, frames)[1]).sum(axis=-1)
 
     def value_and_grad(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value, (basis, p, ph, pairs, z, zs) = self._terms(coords, None)
-        # The y gradient pulls back [x, z] + [x_k, zk] + [x_p, zp], with the
-        # transported terms carried back by p; the x gradient is minus the same
-        # with y.  x_k zk + x_p zp is the k part of x zk plus the p part of x zp.
-        kp = _rows_times(pairs, zs[:, :, 0])
-        np.copyto(kp, _rows_times(pairs, zs[:, :, 1]), where=~_K_ENTRIES)
-        kp = _skew(kp)
-        total = _skew(_rows_times(pairs[:, 0], z)) + kp[:, 0] + p @ kp[:, 1] @ ph
-        grad21 = (total.reshape(-1, 2, 36) @ _PULLBACK).real[:, ::-1]
-        grad21[:, 0] *= -1.0
-        return value, np.swapaxes(grad21 @ basis, -2, -1)
-
-
-class _BracketObjective:
-    """Squared bracket norm of a coordinate pair in a fixed subspace."""
-
-    def __init__(self, basis21: np.ndarray):
-        self.basis = np.asarray(basis21, dtype=float)
-        self.elems = to_complex(unvec_sp3(self.basis.T))
-
-    def _pair(self, coords):
-        x = np.einsum("sd,dab->sab", coords[..., 0], self.elems)
-        y = np.einsum("sd,dab->sab", coords[..., 1], self.elems)
-        return x, y
-
-    def value(self, coords: np.ndarray, frames=None) -> np.ndarray:
-        x, y = self._pair(coords)
-        return _norm_sq(_skew(x @ y))
-
-    def value_and_grad(self, coords: np.ndarray):
-        x, y = self._pair(coords)
-        z = _skew(x @ y)
-        value = _norm_sq(z)
-        gu = -0.5 * np.real(np.einsum("sab,dba->sd", 2.0 * _skew(y @ z), self.elems))
-        gv = -0.5 * np.real(np.einsum("sab,dba->sd", -2.0 * _skew(x @ z), self.elems))
-        return value, np.stack([gu, gv], axis=-1)
+        # With G the antisymmetric matrix of d value / d wedge = 2 res L^T,
+        # the gradient is G y in x and -G x in y.
+        runs, res = self._residuals(coords, None)
+        half = np.empty((len(coords), 1, self.forms.shape[1]))
+        for run, form in runs:
+            np.matmul(res[run, None], form.T, out=half[run])
+        a, b = self.upper
+        gmat = np.zeros((len(coords), coords.shape[1], coords.shape[1]))
+        gmat[:, a, b] = half[:, 0]
+        gmat[:, b, a] = -half[:, 0]
+        turned = np.stack([coords[..., 1], -coords[..., 0]], axis=-1)
+        return np.square(res).sum(axis=-1), 2.0 * (gmat @ turned)
 
 
 def _tangent_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -458,8 +452,8 @@ def _search_rows(thetas, starts: int, iterations: int, seeds) -> list[SearchRepo
         if basis.shape[1] != 15:
             raise ValueError(
                 f"degenerate horizontal space of dimension {basis.shape[1]}, expected 15")
-    objective = _PairObjective(np.stack(bases), np.stack([pt.matrix for pt in points]),
-                               np.repeat(np.arange(len(points)), starts))
+    objective = _WedgeObjective([_pair_form(basis, pt) for pt, basis in zip(points, bases)],
+                                np.repeat(np.arange(len(points)), starts))
     u0 = np.stack([
         np.random.default_rng(seed + index).standard_normal((15, 2))
         for seed in seeds for index in range(starts)
@@ -480,12 +474,16 @@ def _search_rows(thetas, starts: int, iterations: int, seeds) -> list[SearchRepo
     return reports
 
 
-def _search_sizes(starts, iterations) -> tuple[int, int]:
+def _search_sizes(starts, iterations, seeds) -> tuple[int, int, list[int]]:
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations!r}")
-    return int(starts), int(iterations)
+    seeds = [int(seed) for seed in seeds]
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed!r}")
+    return int(starts), int(iterations), seeds
 
 
 def search_zero_planes(thetas, starts: int, iterations: int, seeds) -> list[SearchReport]:
@@ -498,9 +496,8 @@ def search_zero_planes(thetas, starts: int, iterations: int, seeds) -> list[Sear
     at most `MAX_DESCENT_FRAMES` frames (one row per group if a row alone is
     larger).
     """
-    starts, iterations = _search_sizes(starts, iterations)
+    starts, iterations, seeds = _search_sizes(starts, iterations, seeds)
     thetas = [float(theta) for theta in thetas]
-    seeds = [int(seed) for seed in seeds]
     if len(seeds) != len(thetas):
         raise ValueError(f"got {len(seeds)} seeds for {len(thetas)} angles")
     group = max(1, MAX_DESCENT_FRAMES // starts)
@@ -520,8 +517,8 @@ def search_zero_plane(theta: float, starts: int = 200, iterations: int = 500,
     reported residual is the g0 norm of the stacked commutators at the best
     frame found.
     """
-    starts, iterations = _search_sizes(starts, iterations)
-    return _search_rows([float(theta)], starts, iterations, [int(seed)])[0]
+    starts, iterations, seeds = _search_sizes(starts, iterations, [seed])
+    return _search_rows([float(theta)], starts, iterations, seeds)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +552,7 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
     """
     subspace = np.asarray(subspace, dtype=float)
     dim = subspace.shape[1]
-    objective = _BracketObjective(subspace)
+    objective = _WedgeObjective([_compress(_wedge_terms(subspace, _STRUCTURE))])
     rng = np.random.default_rng(seed)
 
     chunk = 20_000

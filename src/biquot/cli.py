@@ -85,10 +85,11 @@ def cmd_scan(args) -> int:
         raise ValueError(f"steps must be at least 2, got {args.steps!r}")
 
     thetas = [float(theta) for theta in np.linspace(lo, hi, args.steps)]
-    certs = [certify.certify_theta(theta) for theta in thetas]
+    # the search validates its sizes and seeds before doing any work
     reports = certify.search_zero_planes(
         thetas, args.starts, args.iterations,
         [args.seed + 100003 * row for row in range(args.steps)])
+    certs = [certify.certify_theta(theta) for theta in thetas]
     rows = [",".join([
         _fmt(cert.theta),
         str(cert.rho_rank),

@@ -142,11 +142,13 @@ def test_batched_objective_gradient_and_residuals():
     points = [embeddings.point_p(theta) for theta in thetas]
     bases = [zeroplane.horizontal_basis(pt) for pt in points]
     angle = np.array([0, 1, 2, 1, 0, 2, 2])
-    objective = certify._PairObjective(
-        np.stack(bases), np.stack([pt.matrix for pt in points]), angle)
+    objective = certify._WedgeObjective(
+        [certify._pair_form(basis, pt) for pt, basis in zip(points, bases)], angle)
     rng = np.random.default_rng(4)
     u = certify._retract(rng.standard_normal((angle.size, 15, 2)))
     value, grad = objective.value_and_grad(u)
+    # the line search compares values from both entry points
+    assert np.array_equal(objective.value(u), value)
 
     for frame, a in enumerate(angle):
         coords = bases[a] @ u[frame]
@@ -155,7 +157,13 @@ def test_batched_objective_gradient_and_residuals():
                             zeroplane.conditionC_residual(x, y, points[a]))
         assert np.sqrt(value[frame]) == pytest.approx(expected, rel=1e-9)
 
-    step = 1e-6
+    _assert_gradient_matches_slopes(objective, u, grad, rng)
+
+    subset = np.array([5, 1])
+    assert np.array_equal(objective.value(u[subset], subset), value[subset])
+
+
+def _assert_gradient_matches_slopes(objective, u, grad, rng, step=1e-6):
     for _ in range(3):
         direction = certify._tangent_project(u, rng.standard_normal(u.shape))
         direction /= np.linalg.norm(direction, axis=(1, 2), keepdims=True)
@@ -164,8 +172,22 @@ def test_batched_objective_gradient_and_residuals():
         predicted = np.einsum("sij,sij->s", grad, direction)
         assert slope == pytest.approx(predicted, rel=1e-6, abs=1e-9)
 
-    subset = np.array([5, 1])
-    assert np.array_equal(objective.value(u[subset], subset), value[subset])
+
+@pytest.mark.parametrize("basis", [certify.p_subspace_basis(),
+                                   certify.berger_complement_basis()],
+                         ids=["p", "berger-complement"])
+def test_bracket_floor_objective_is_squared_bracket(basis):
+    objective = certify._WedgeObjective(
+        [certify._compress(certify._wedge_terms(basis, certify._STRUCTURE))])
+    rng = np.random.default_rng(12)
+    u = certify._retract(rng.standard_normal((6, basis.shape[1], 2)))
+    value, grad = objective.value_and_grad(u)
+    assert np.array_equal(objective.value(u), value)
+    for frame in range(len(u)):
+        coords = basis @ u[frame]
+        b = liealg.bracket(liealg.unvec_sp3(coords[:, 0]), liealg.unvec_sp3(coords[:, 1]))
+        assert value[frame] == pytest.approx(liealg.g0_inner(b, b), rel=1e-12)
+    _assert_gradient_matches_slopes(objective, u, grad, rng)
 
 
 def test_batched_search_matches_one_angle_searches(monkeypatch):
@@ -191,6 +213,8 @@ def test_search_rejects_negative_iterations_and_seed_mismatch():
         certify.search_zero_planes([PI12], 2, -5, [0])
     with pytest.raises(ValueError, match="seeds"):
         certify.search_zero_planes([0.1, 0.2], 2, 5, [0])
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        certify.search_zero_plane(PI12, starts=2, iterations=5, seed=-1)
 
 
 def test_search_rejects_bad_starts():

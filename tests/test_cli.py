@@ -36,6 +36,14 @@ def test_check_negative_iterations_exit_one(capsys):
     assert "verdict" not in out
 
 
+def test_check_negative_seed_exit_one(capsys):
+    code, out, err = run(capsys, ["check", "--theta", "0.2", "--mode", "search",
+                                  "--seed", "-1"])
+    assert code == 1
+    assert "seed" in err
+    assert "verdict" not in out
+
+
 def test_check_inconclusive_exit_two(capsys):
     code, out, _ = run(capsys, ["check", "--theta", "1.0"])
     assert code == 2
@@ -126,6 +134,20 @@ def test_scan_negative_iterations_exit_one(tmp_path, capsys):
                                 "--starts", "1", "--iterations", "-1", "--out", str(out)])
     assert code == 1
     assert "iterations" in err
+    assert not out.exists()
+
+
+def test_scan_negative_seed_exit_one(tmp_path, capsys, monkeypatch):
+    def no_work(theta):
+        raise AssertionError("certify_theta ran before the seed was rejected")
+
+    monkeypatch.setattr(certify, "certify_theta", no_work)
+    out = tmp_path / "neg-seed.csv"
+    code, _, err = run(capsys, ["scan", "--from", "0.1", "--to", "0.2", "--steps", "3",
+                                "--starts", "1", "--iterations", "5", "--seed", "-5",
+                                "--out", str(out)])
+    assert code == 1
+    assert "seed" in err
     assert not out.exists()
 
 
