@@ -40,7 +40,7 @@ from .liealg import (
     split_kp,
     sp2_project,
 )
-from .quat import ImQuaternion, Quaternion, q_conj_norm, q_mul
+from .quat import ImQuaternion, Quaternion
 from .zeroplane import (
     ConditionResiduals,
     ReducedPair,
@@ -48,6 +48,7 @@ from .zeroplane import (
     conditionB_residual,
     conditionC_residual,
     lemma_equations_residual,
+    lemma_equations_residuals,
     normal_form_reduce,
     vw_vectors,
 )

@@ -27,12 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import liealg
 from .embeddings import ThetaPoint, point_p, rho_rank
 from .liealg import unvec_sp3
-from .zeroplane import horizontal_basis
+from .zeroplane import ReducedPair, horizontal_basis
 
 __all__ = [
     "Certificate",
@@ -169,23 +168,13 @@ def kernel_match(theta: float, ell: str) -> float:
 
 def reduced_pair_from_axis(coords: np.ndarray, ell: str):
     """Reduced pair whose seven coordinates all sit on the imaginary axis ell."""
-    from .quat import ImQuaternion, Quaternion
-    from .zeroplane import ReducedPair
-
     _epsilon(ell)
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (7,):
         raise ValueError(f"expected 7 axis coordinates, got shape {coords.shape}")
-    slot = {"j": 1, "k": 2}[ell]
-
-    def im(value: float) -> ImQuaternion:
-        parts = [0.0, 0.0, 0.0]
-        parts[slot] = float(value)
-        return ImQuaternion(*parts)
-
-    x1, x2, x3, x4, y1, y2, y3 = coords
-    return ReducedPair(x1=im(x1), x2=im(x2).quaternion, x3=im(x3), x4=im(x4),
-                       y1=im(y1).quaternion, y2=im(y2).quaternion, y3=im(y3))
+    pair = np.zeros((7, 4))
+    pair[:, {"j": 2, "k": 3}[ell]] = coords
+    return ReducedPair.from_array(pair)
 
 
 def sign_certificate(theta: float) -> bool:
@@ -536,7 +525,7 @@ def berger_complement_basis() -> np.ndarray:
 
     sp2_coords = [0, 1, 2, 3, 4, 5, 9, 10, 11, 12]
     h2_rows = liealg.vec_sp3(h2_basis().stack())[:, sp2_coords]
-    complement = scipy.linalg.null_space(h2_rows)
+    complement = liealg.null_space(h2_rows)
     out = np.zeros((21, complement.shape[1]))
     out[sp2_coords, :] = complement
     return out

@@ -36,11 +36,12 @@ def _bool(x: bool) -> str:
 
 def cmd_check(args) -> int:
     theta = math.radians(args.theta) if args.degrees else float(args.theta)
-    cert = certify.certify_theta(theta)
     report = None
     if args.mode in ("search", "both"):
+        # the search validates theta, its sizes and the seed before doing any work
         report = certify.search_zero_plane(theta, starts=args.starts,
                                            iterations=args.iterations, seed=args.seed)
+    cert = certify.certify_theta(theta)
 
     print(f"theta = {_fmt(cert.theta)} rad")
     print(f"rho rank: {cert.rho_rank}")
@@ -230,36 +231,19 @@ def _suite_equation_equivalence():
                 x1=xs.x1, x2=xs.x2, x3=xs.x3, x4=xs.x4,
                 y1=ys.y1, y2=ys.y2, y3=ys.y3))
         pairs.append(zeroplane.ReducedPair.zero())
-        for rp in pairs:
-            res = zeroplane.lemma_equations_residual(rp, pt)
-            cases += 1
-            agreements += (res.max_abc <= tol) == (res.max_eq <= tol)
+        abc, eq = zeroplane.lemma_equations_residuals(
+            np.stack([rp.array for rp in pairs]), pt)
+        cases += len(pairs)
+        agreements += int(np.sum((abc.max(axis=-1) <= tol) == (eq.max(axis=-1) <= tol)))
     ok = agreements == cases
     return ("equation-equivalence", ok,
             f"{agreements}/{cases} agreement between condition residuals "
             f"and the thirteen equations at tolerance {tol:.0e}")
 
 
-def _signed_equation_forms(rp, theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    r3 = math.sqrt(3.0)
-    return np.array([
-        3.0 * rp.x1.ci - rp.x3.ci,
-        r3 * rp.x2.cj - rp.x3.cj,
-        r3 * rp.x2.ck + rp.x3.ck,
-        -2.0 * s * s * rp.x1.ci + (1.0 + 2.0 * s * s) * rp.x4.ci,
-        2.0 * r3 * (c - 1.0) * rp.x2.cj + s * s * rp.x1.cj + c * c * rp.x4.cj,
-        2.0 * r3 * (c - 1.0) * rp.x2.ck + s * s * rp.x1.ck + c * c * rp.x4.ck,
-        -4.0 * s * c * rp.y1.ci + (1.0 + 2.0 * s * s) * rp.y3.ci,
-        2.0 * s * c * rp.y1.cj - 2.0 * r3 * s * rp.y2.cj + c * c * rp.y3.cj,
-        2.0 * s * c * rp.y1.ck - 2.0 * r3 * s * rp.y2.ck + c * c * rp.y3.ck,
-    ])
-
-
 def _suite_linear_family_map():
     rng = np.random.default_rng(707)
-    theta = np.pi / 12.0
-    pt = embeddings.point_p(theta)
+    pt = embeddings.point_p(np.pi / 12.0)
     basis = zeroplane.condition_basis(pt)
 
     def forms(rp):
@@ -267,7 +251,7 @@ def _suite_linear_family_map():
         px = liealg.vec_sp3(x) @ basis.T
         py = liealg.vec_sp3(y) @ basis.T
         pairings = np.concatenate([px[3:6], px[0:3], py[0:3]])
-        return pairings, _signed_equation_forms(rp, theta)
+        return pairings, zeroplane.family_forms(rp.array, pt)
 
     fit = [forms(zeroplane.random_reduced_pair(rng)) for _ in range(60)]
     u = np.stack([f[0] for f in fit])
@@ -288,9 +272,9 @@ def _suite_kernel_two_path():
     dims_ok = True
     for theta in grid:
         for ell in ("j", "k"):
-            dim, _ = certify.kernel_solution(float(theta), ell)
+            dim, solution = certify.kernel_solution(float(theta), ell)
             dims_ok = dims_ok and dim == 1
-            worst_match = min(worst_match, certify.kernel_match(float(theta), ell))
+            worst_match = min(worst_match, certify._reference_match(float(theta), solution))
     ok = dims_ok and worst_match >= certify.KERNEL_MATCH_MIN
     return ("kernel-two-path", ok,
             f"dimension 1 on 1000-point grid: {dims_ok}, min |cosine| {worst_match:.17f}")

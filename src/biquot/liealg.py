@@ -41,6 +41,8 @@ __all__ = [
     "identity",
     "mat_from_quaternions",
     "mat_mul",
+    "normalized_gram_residual",
+    "null_space",
     "random_sp3",
     "require_sp3",
     "skew_defect",
@@ -269,18 +271,36 @@ def gram_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return aa * bb - ab * ab
 
 
+def normalized_gram_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gram residual of a and b after scaling both by the larger norm (batched).
+
+    Scale-free in the pair, and a pair whose smaller member is negligible
+    against the larger counts as dependent; the zero pair gives 0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))[..., None]
+    scale = np.where(scale == 0.0, 1.0, scale)
+    return gram_residual(a / scale, b / scale)
+
+
 def dependence_residual(v: PVector, w: PVector, normalized: bool = False) -> float:
     """Gram residual of {v, w} in R^8; zero exactly on real-dependent pairs.
 
-    With `normalized` both vectors are scaled by the larger of the two norms
-    first, making the verdict scale-free while keeping a pair with one
-    negligible member dependent.
+    With `normalized` it is `normalized_gram_residual`, scale-free and with a
+    pair of one negligible member counted as dependent.
     """
-    a, b = v.to_r8(), w.to_r8()
-    if normalized:
-        scale = max(np.linalg.norm(a), np.linalg.norm(b))
-        if scale == 0.0:
-            return 0.0
-        a = a / scale
-        b = b / scale
-    return float(gram_residual(a, b))
+    residual = normalized_gram_residual if normalized else gram_residual
+    return float(residual(v.to_r8(), w.to_r8()))
+
+
+def null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (n, n - rank) of the null space of an (m, n) matrix.
+
+    From the full SVD; singular values above max(s) * eps * max(m, n) count
+    toward the rank.
+    """
+    a = np.asarray(a, dtype=float)
+    _, svals, vt = np.linalg.svd(a)
+    rank = int(np.sum(svals > svals.max(initial=0.0) * np.finfo(float).eps * max(a.shape)))
+    return vt[rank:].T

@@ -16,8 +16,6 @@ __all__ = [
     "MUL_TABLE",
     "ImQuaternion",
     "Quaternion",
-    "q_conj_norm",
-    "q_mul",
     "qconj",
     "qmul",
     "qnorm_sq",
@@ -167,16 +165,6 @@ class ImQuaternion:
         return NotImplemented
 
     __rmul__ = __mul__
-
-
-def q_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Quaternion product a*b."""
-    return a * b
-
-
-def q_conj_norm(a: Quaternion) -> tuple[Quaternion, float]:
-    """Conjugate and squared norm; a * conj(a) equals norm_sq * 1."""
-    return a.conj(), a.norm_sq()
 
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ conditions hold:
 For pairs in normal form -- X supported on the block diagonal with entries
 (x1, x2; -conj(x2), x3) and corner x4, Y supported on the third row/column
 with entries (y1, y2) and corner y3 -- the three conditions reduce to the
-thirteen equations evaluated by `lemma_equations_residual`, labeled here
+thirteen equations evaluated by `lemma_equations_residuals`, labeled here
 
   (1)   x1 y1 + x2 y2 - y1 x4 = 0
   (2)   -conj(x2) y1 + x3 y2 - y2 x4 = 0
@@ -31,6 +31,11 @@ with c = cos(theta), s = sin(theta).  Families (5)/(6) are condition (A) on
 X, family (7) is condition (A) on Y, (1)-(3) encode (B), and (4) encodes (C)
 through the transported projections v = (Ad_{p^{-1}} X)_p and
 w = (Ad_{p^{-1}} Y)_p.
+
+A stack of reduced pairs is a float array of shape (..., 7, 4): quaternion
+components of (x1, x2, x3, x4, y1, y2, y3), with zero real parts in the
+imaginary slots x1, x3, x4, y3.  Every equation and residual here is
+evaluated on such stacks; `ReducedPair` is the one-pair view of a row.
 """
 
 from __future__ import annotations
@@ -39,12 +44,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import embeddings, liealg
 from .embeddings import ThetaPoint
 from .liealg import PVector
-from .quat import ImQuaternion, Quaternion
+from .quat import ImQuaternion, Quaternion, qconj, qmul, qnorm_sq
 
 __all__ = [
     "EQUATION_LABELS",
@@ -55,8 +59,10 @@ __all__ = [
     "conditionB_residual",
     "conditionC_residual",
     "condition_basis",
+    "family_forms",
     "horizontal_basis",
     "lemma_equations_residual",
+    "lemma_equations_residuals",
     "normal_form_reduce",
     "random_reduced_pair",
     "vw_vectors",
@@ -69,6 +75,8 @@ EQUATION_LABELS = ("1", "2", "3", "4", "5i", "5j", "5k",
 
 DEPENDENCE_TOL = 1e-9
 _R3 = math.sqrt(3.0)
+# rows of the pair array holding purely imaginary quaternions
+_IMAGINARY_SLOTS = [0, 2, 3, 6]
 
 
 class NormalFormError(ValueError):
@@ -77,7 +85,8 @@ class NormalFormError(ValueError):
 
 @dataclass(frozen=True)
 class ReducedPair:
-    """Normal-form coordinates of a candidate plane."""
+    """Normal-form coordinates of a candidate plane; `array` is its row in a
+    pair stack."""
 
     x1: ImQuaternion
     x2: Quaternion
@@ -92,20 +101,55 @@ class ReducedPair:
         im, q = ImQuaternion(), Quaternion()
         return cls(im, q, im, im, q, q, im)
 
+    @classmethod
+    def from_array(cls, a) -> "ReducedPair":
+        if np.shape(a) != (7, 4):
+            raise ValueError(f"expected one pair of shape (7, 4), got {np.shape(a)}")
+        x1, x2, x3, x4, y1, y2, y3 = _pair_slots(a)
+        return cls(ImQuaternion.from_array(x1[1:]), Quaternion.from_array(x2),
+                   ImQuaternion.from_array(x3[1:]), ImQuaternion.from_array(x4[1:]),
+                   Quaternion.from_array(y1), Quaternion.from_array(y2),
+                   ImQuaternion.from_array(y3[1:]))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The pair as one (7, 4) row of a pair stack."""
+        return np.array([(getattr(q, "re", 0.0), q.ci, q.cj, q.ck) for q in (
+            self.x1, self.x2, self.x3, self.x4, self.y1, self.y2, self.y3)])
+
     def to_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Reconstruct (X, Y) in the block shapes fixed by the normal form."""
-        zero = Quaternion()
-        x = liealg.mat_from_quaternions([
-            [self.x1.quaternion, self.x2, zero],
-            [-self.x2.conj(), self.x3.quaternion, zero],
-            [zero, zero, self.x4.quaternion],
-        ])
-        y = liealg.mat_from_quaternions([
-            [zero, zero, self.y1],
-            [zero, zero, self.y2],
-            [-self.y1.conj(), -self.y2.conj(), self.y3.quaternion],
-        ])
-        return x, y
+        return _pair_matrices(_pair_slots(self.array))
+
+
+def _pair_slots(pairs) -> tuple[np.ndarray, ...]:
+    """The seven (..., 4) slots of a validated pair stack (..., 7, 4)."""
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.shape[-2:] != (7, 4):
+        raise ValueError(f"expected trailing shape (7, 4), got {pairs.shape}")
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("pair entries must be finite")
+    if np.any(pairs[..., _IMAGINARY_SLOTS, 0] != 0.0):
+        raise ValueError("slots x1, x3, x4, y3 must have zero real part")
+    return tuple(np.moveaxis(pairs, -2, 0))
+
+
+def _pair_matrices(slots) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y (..., 3, 3, 4) in the block shapes fixed by the normal form."""
+    x1, x2, x3, x4, y1, y2, y3 = slots
+    x = np.zeros(x1.shape[:-1] + (3, 3, 4))
+    y = np.zeros_like(x)
+    x[..., 0, 0, :] = x1
+    x[..., 0, 1, :] = x2
+    x[..., 1, 0, :] = -qconj(x2)
+    x[..., 1, 1, :] = x3
+    x[..., 2, 2, :] = x4
+    y[..., 0, 2, :] = y1
+    y[..., 1, 2, :] = y2
+    y[..., 2, 0, :] = -qconj(y1)
+    y[..., 2, 1, :] = -qconj(y2)
+    y[..., 2, 2, :] = y3
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -169,18 +213,6 @@ def conditionC_residual(x: np.ndarray, y: np.ndarray, pt: ThetaPoint) -> np.ndar
     )
 
 
-def _pair_gram(a: np.ndarray, b: np.ndarray) -> float:
-    """Gram residual after scaling both vectors by the larger norm.
-
-    Scale-free in the pair, and a pair whose smaller member is negligible
-    against the larger counts as dependent, mirroring the bracket criteria.
-    """
-    scale = max(np.linalg.norm(a), np.linalg.norm(b))
-    if scale == 0.0:
-        return 0.0
-    return float(liealg.gram_residual(a / scale, b / scale))
-
-
 def normal_form_reduce(x: np.ndarray, y: np.ndarray, pt: ThetaPoint,
                        tol: float = DEPENDENCE_TOL) -> ReducedPair:
     """Replace span{X, Y} by a normal-form pair (X' block-diagonal, Y'
@@ -201,7 +233,7 @@ def normal_form_reduce(x: np.ndarray, y: np.ndarray, pt: ThetaPoint,
         raise NormalFormError("pair is not linearly independent")
     x = x / nx
     y = y / ny
-    if _pair_gram(liealg.vec_sp3(x), liealg.vec_sp3(y)) <= tol:
+    if liealg.normalized_gram_residual(liealg.vec_sp3(x), liealg.vec_sp3(y)) <= tol:
         raise NormalFormError("pair is not linearly independent")
 
     xp = liealg.split_kp(x).p_part
@@ -249,58 +281,85 @@ def _require_reduced_range(pt: ThetaPoint) -> tuple[float, float]:
     return math.cos(pt.theta), math.sin(pt.theta)
 
 
-def vw_vectors(rp: ReducedPair, pt: ThetaPoint) -> tuple[PVector, PVector]:
-    """Closed forms of the transported p projections of the reduced pair."""
-    c, s = _require_reduced_range(pt)
-    v = PVector(
-        z1=(rp.x1 - rp.x4).quaternion * (c * s),
-        z2=rp.x2.conj() * (-s),
-    )
-    w = PVector(
-        z1=Quaternion(rp.y1.re, 0.0, 0.0, 0.0)
-        + rp.y1.imag().quaternion * (c * c - s * s)
-        - rp.y3.quaternion * (s * c),
-        z2=rp.y2 * c,
-    )
+def _vw(slots, c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """R^8 coordinates (z1, z2) of the transported p projections v and w."""
+    x1, x2, x3, x4, y1, y2, y3 = slots
+    rotate = np.array([1.0, c * c - s * s, c * c - s * s, c * c - s * s])
+    v = np.concatenate([(x1 - x4) * (c * s), qconj(x2) * (-s)], axis=-1)
+    w = np.concatenate([y1 * rotate - y3 * (s * c), y2 * c], axis=-1)
     return v, w
 
 
-def lemma_equations_residual(rp: ReducedPair, pt: ThetaPoint) -> ConditionResiduals:
-    """All thirteen equation residuals plus the (A)(B)(C) residuals of the
-    reconstructed pair; both vanish together on clear-cut inputs."""
+def vw_vectors(rp: ReducedPair, pt: ThetaPoint) -> tuple[PVector, PVector]:
+    """Closed forms of the transported p projections of the reduced pair."""
     c, s = _require_reduced_range(pt)
-    x1, x2, x3, x4 = rp.x1.quaternion, rp.x2, rp.x3.quaternion, rp.x4.quaternion
-    y1, y2, y3 = rp.y1, rp.y2, rp.y3.quaternion
+    return tuple(PVector(z1=Quaternion.from_array(r8[:4]), z2=Quaternion.from_array(r8[4:]))
+                 for r8 in _vw(_pair_slots(rp.array), c, s))
 
-    v, w = vw_vectors(rp, pt)
-    eq = {
-        "1": abs(x1 * y1 + x2 * y2 - y1 * x4),
-        "2": abs(-x2.conj() * y1 + x3 * y2 - y2 * x4),
-        "3": _pair_gram(rp.x4.array, rp.y3.array),
-        "4": _pair_gram(v.to_r8(), w.to_r8()),
-        "5i": abs(3.0 * rp.x1.ci - rp.x3.ci),
-        "5j": abs(_R3 * rp.x2.cj - rp.x3.cj),
-        "5k": abs(_R3 * rp.x2.ck + rp.x3.ck),
-        "6i": abs(-2.0 * s * s * rp.x1.ci + (1.0 + 2.0 * s * s) * rp.x4.ci),
-        "6j": abs(2.0 * _R3 * (c - 1.0) * rp.x2.cj + s * s * rp.x1.cj + c * c * rp.x4.cj),
-        "6k": abs(2.0 * _R3 * (c - 1.0) * rp.x2.ck + s * s * rp.x1.ck + c * c * rp.x4.ck),
-        "7i": abs(-4.0 * s * c * rp.y1.ci + (1.0 + 2.0 * s * s) * rp.y3.ci),
-        "7j": abs(2.0 * s * c * rp.y1.cj - 2.0 * _R3 * s * rp.y2.cj + c * c * rp.y3.cj),
-        "7k": abs(2.0 * s * c * rp.y1.ck - 2.0 * _R3 * s * rp.y2.ck + c * c * rp.y3.ck),
-    }
 
-    x, y = rp.to_matrices()
-    return ConditionResiduals(
-        a_res=float(conditionA_residual(x, y, pt)),
-        b_res=float(conditionB_residual(x, y)),
-        c_res=float(conditionC_residual(x, y, pt)),
-        eq_res=eq,
-    )
+def _family_forms(slots, c: float, s: float) -> np.ndarray:
+    x1, x2, x3, x4, y1, y2, y3 = slots
+    i, j, k = 1, 2, 3
+    return np.stack([
+        3.0 * x1[..., i] - x3[..., i],
+        _R3 * x2[..., j] - x3[..., j],
+        _R3 * x2[..., k] + x3[..., k],
+        -2.0 * s * s * x1[..., i] + (1.0 + 2.0 * s * s) * x4[..., i],
+        2.0 * _R3 * (c - 1.0) * x2[..., j] + s * s * x1[..., j] + c * c * x4[..., j],
+        2.0 * _R3 * (c - 1.0) * x2[..., k] + s * s * x1[..., k] + c * c * x4[..., k],
+        -4.0 * s * c * y1[..., i] + (1.0 + 2.0 * s * s) * y3[..., i],
+        2.0 * s * c * y1[..., j] - 2.0 * _R3 * s * y2[..., j] + c * c * y3[..., j],
+        2.0 * s * c * y1[..., k] - 2.0 * _R3 * s * y2[..., k] + c * c * y3[..., k],
+    ], axis=-1)
+
+
+def family_forms(pairs, pt: ThetaPoint) -> np.ndarray:
+    """Signed left-hand sides (..., 9) of the linear families (5i) to (7k),
+    in `EQUATION_LABELS` order, for a pair stack (..., 7, 4)."""
+    c, s = _require_reduced_range(pt)
+    return _family_forms(_pair_slots(pairs), c, s)
+
+
+def lemma_equations_residuals(pairs, pt: ThetaPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals (..., 3) of conditions (A)(B)(C) and (..., 13) of the
+    thirteen equations, in `EQUATION_LABELS` order, for a pair stack
+    (..., 7, 4); both vanish together on clear-cut inputs.
+
+    (1)-(2) are quaternion norms, (3)-(4) scale-free Gram residuals and
+    (5)-(7) the absolute linear forms.  (A)(B)(C) are evaluated on the
+    reconstructed matrices, one batched call each.
+    """
+    c, s = _require_reduced_range(pt)
+    slots = _pair_slots(pairs)
+    x1, x2, x3, x4, y1, y2, y3 = slots
+    v, w = _vw(slots, c, s)
+    eq = np.concatenate([np.stack([
+        np.sqrt(qnorm_sq(qmul(x1, y1) + qmul(x2, y2) - qmul(y1, x4))),
+        np.sqrt(qnorm_sq(qmul(-qconj(x2), y1) + qmul(x3, y2) - qmul(y2, x4))),
+        liealg.normalized_gram_residual(x4[..., 1:], y3[..., 1:]),
+        liealg.normalized_gram_residual(v, w),
+    ], axis=-1), np.abs(_family_forms(slots, c, s))], axis=-1)
+
+    x, y = _pair_matrices(slots)
+    abc = np.stack([
+        conditionA_residual(x, y, pt),
+        conditionB_residual(x, y),
+        conditionC_residual(x, y, pt),
+    ], axis=-1)
+    return abc, eq
+
+
+def lemma_equations_residual(rp: ReducedPair, pt: ThetaPoint) -> ConditionResiduals:
+    """`lemma_equations_residuals` of one pair, with the equations keyed by label."""
+    abc, eq = lemma_equations_residuals(rp.array, pt)
+    a_res, b_res, c_res = (float(r) for r in abc)
+    return ConditionResiduals(a_res=a_res, b_res=b_res, c_res=c_res,
+                              eq_res=dict(zip(EQUATION_LABELS, (float(r) for r in eq))))
 
 
 def horizontal_basis(pt: ThetaPoint) -> np.ndarray:
     """Orthonormal coordinate basis (21, d) of the condition-(A) subspace."""
-    return scipy.linalg.null_space(condition_basis(pt))
+    return liealg.null_space(condition_basis(pt))
 
 
 def random_reduced_pair(rng: np.random.Generator, scale: float = 1.0) -> ReducedPair:

@@ -1,8 +1,11 @@
 """Independent reference computations used by the tests.
 
-These deliberately avoid the library's complex-embedding fast path: matrix
-products are accumulated entry by entry with the scalar Quaternion class.
+These deliberately avoid the library's array fast paths: matrix products are
+accumulated entry by entry, and the thirteen reduced-pair equations are
+written out, with the scalar Quaternion class.
 """
+
+import math
 
 import numpy as np
 
@@ -33,3 +36,48 @@ def scalar_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def scalar_g0(a: np.ndarray, b: np.ndarray) -> float:
     prod = to_quaternion_entries(scalar_mat_mul(a, b))
     return -sum(prod[d][d].re for d in range(len(prod)))
+
+
+def _scaled_gram(a, b) -> float:
+    """Gram residual of two component sequences after scaling both by the
+    larger norm; 0 for the zero pair."""
+    scale = max(math.sqrt(sum(t * t for t in a)), math.sqrt(sum(t * t for t in b)))
+    if scale == 0.0:
+        return 0.0
+    a = [t / scale for t in a]
+    b = [t / scale for t in b]
+    ab = sum(p * q for p, q in zip(a, b))
+    return sum(t * t for t in a) * sum(t * t for t in b) - ab * ab
+
+
+def _components(q) -> list[float]:
+    return [q.re, q.ci, q.cj, q.ck]
+
+
+def scalar_lemma_equations(rp, theta: float) -> list[float]:
+    """The thirteen equation residuals of a reduced pair, in label order,
+    written out with scalar quaternions."""
+    c, s = math.cos(theta), math.sin(theta)
+    r3 = math.sqrt(3.0)
+    x1, x2, x3, x4 = rp.x1.quaternion, rp.x2, rp.x3.quaternion, rp.x4.quaternion
+    y1, y2, y3 = rp.y1, rp.y2, rp.y3.quaternion
+
+    v = _components((x1 - x4) * (c * s)) + _components(x2.conj() * (-s))
+    w = _components(Quaternion(y1.re, 0.0, 0.0, 0.0)
+                    + y1.imag().quaternion * (c * c - s * s) - y3 * (s * c))
+    w += _components(y2 * c)
+    return [
+        abs(x1 * y1 + x2 * y2 - y1 * x4),
+        abs(-x2.conj() * y1 + x3 * y2 - y2 * x4),
+        _scaled_gram(_components(x4), _components(y3)),
+        _scaled_gram(v, w),
+        abs(3.0 * x1.ci - x3.ci),
+        abs(r3 * x2.cj - x3.cj),
+        abs(r3 * x2.ck + x3.ck),
+        abs(-2.0 * s * s * x1.ci + (1.0 + 2.0 * s * s) * x4.ci),
+        abs(2.0 * r3 * (c - 1.0) * x2.cj + s * s * x1.cj + c * c * x4.cj),
+        abs(2.0 * r3 * (c - 1.0) * x2.ck + s * s * x1.ck + c * c * x4.ck),
+        abs(-4.0 * s * c * y1.ci + (1.0 + 2.0 * s * s) * y3.ci),
+        abs(2.0 * s * c * y1.cj - 2.0 * r3 * s * y2.cj + c * c * y3.cj),
+        abs(2.0 * s * c * y1.ck - 2.0 * r3 * s * y2.ck + c * c * y3.ck),
+    ]

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import biquot
 from biquot import certify, cli
 
 
@@ -44,6 +49,18 @@ def test_check_negative_seed_exit_one(capsys):
     assert "verdict" not in out
 
 
+def test_check_negative_seed_skips_algebra(capsys, monkeypatch):
+    def no_work(theta):
+        raise AssertionError("certify_theta ran before the seed was rejected")
+
+    monkeypatch.setattr(certify, "certify_theta", no_work)
+    code, out, err = run(capsys, ["check", "--theta", "0.2", "--mode", "both",
+                                  "--seed", "-1"])
+    assert code == 1
+    assert "seed" in err
+    assert out == ""
+
+
 def test_check_inconclusive_exit_two(capsys):
     code, out, _ = run(capsys, ["check", "--theta", "1.0"])
     assert code == 2
@@ -75,6 +92,16 @@ def test_check_json_mirrors_certificate(tmp_path, capsys):
     assert set(payload) == expected_keys
     assert payload["verdict"] == "positive"
     assert payload["search"]["starts"] == 4
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(biquot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = "import sys, biquot.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_missing_subcommand_exit_one(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _oracles import scalar_lemma_equations
 
 from biquot import certify, embeddings, liealg, zeroplane
 from biquot.embeddings import ThetaPoint
@@ -252,3 +253,66 @@ def test_horizontal_basis_properties():
     assert basis.shape == (21, 15)
     assert np.allclose(basis.T @ basis, np.eye(15), atol=1e-12)
     assert np.max(np.abs(zeroplane.condition_basis(PT) @ basis)) <= 1e-12
+
+
+def _mixed_stack(rng, pt):
+    pairs = [zeroplane.random_reduced_pair(rng) for _ in range(50)]
+    pairs += [zeroplane.x_side_solution(rng, pt) for _ in range(10)]
+    pairs += [zeroplane.y_side_solution(rng, pt) for _ in range(10)]
+    for _ in range(5):
+        xs = zeroplane.x_side_solution(rng, pt)
+        ys = zeroplane.y_side_solution(rng, pt)
+        pairs.append(zeroplane.ReducedPair(
+            x1=xs.x1, x2=xs.x2, x3=xs.x3, x4=xs.x4, y1=ys.y1, y2=ys.y2, y3=ys.y3))
+    pairs.append(zeroplane.ReducedPair.zero())
+    return pairs
+
+
+def test_batched_equations_match_scalar_oracle_and_per_pair_conditions():
+    rng = np.random.default_rng(46)
+    checked = 0
+    for theta in (np.pi / 24.0, np.pi / 12.0, np.pi / 8.0):
+        pt = embeddings.point_p(theta)
+        pairs = _mixed_stack(rng, pt)
+        stack = np.stack([rp.array for rp in pairs])
+        abc, eq = zeroplane.lemma_equations_residuals(stack, pt)
+        assert abc.shape == (len(pairs), 3) and eq.shape == (len(pairs), 13)
+        for rp, row, got_eq, got_abc in zip(pairs, stack, eq, abc):
+            assert zeroplane.ReducedPair.from_array(row) == rp
+            # relative to the size of the pair's coordinates
+            scale = max(1.0, float(np.max(np.abs(row))))
+            oracle = np.array(scalar_lemma_equations(rp, theta))
+            assert np.max(np.abs(got_eq - oracle)) <= 1e-12 * scale
+            x, y = rp.to_matrices()
+            direct = np.array([zeroplane.conditionA_residual(x, y, pt),
+                               zeroplane.conditionB_residual(x, y),
+                               zeroplane.conditionC_residual(x, y, pt)])
+            assert np.max(np.abs(got_abc - direct)) <= 1e-12 * max(1.0, np.max(direct))
+            checked += 1
+    assert checked >= 200
+
+
+def test_batched_equations_keep_leading_axes():
+    rng = np.random.default_rng(47)
+    pairs = [zeroplane.random_reduced_pair(rng) for _ in range(10)]
+    stack = np.stack([rp.array for rp in pairs]).reshape(2, 5, 7, 4)
+    abc, eq = zeroplane.lemma_equations_residuals(stack, PT)
+    assert eq.shape == (2, 5, 13)
+    assert abc.shape == (2, 5, 3)
+    single = zeroplane.lemma_equations_residual(pairs[7], PT)
+    assert list(eq[1, 2]) == pytest.approx(list(single.eq_res.values()), rel=1e-12, abs=1e-15)
+    assert zeroplane.family_forms(stack, PT).shape == (2, 5, 9)
+
+
+def test_batched_equations_reject_malformed_stacks():
+    stack = np.zeros((3, 7, 4))
+    with pytest.raises(ValueError, match="trailing shape"):
+        zeroplane.lemma_equations_residuals(np.zeros((3, 6, 4)), PT)
+    stack[1, 2, 0] = 1.0  # a real part in the imaginary slot x3
+    with pytest.raises(ValueError, match="real part"):
+        zeroplane.lemma_equations_residuals(stack, PT)
+    stack[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        zeroplane.lemma_equations_residuals(stack, PT)
+    with pytest.raises(ValueError, match="one pair"):
+        zeroplane.ReducedPair.from_array(np.zeros((3, 7, 4)))
