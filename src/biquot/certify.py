@@ -19,6 +19,14 @@ sp(3) structure constants.  `search_zero_planes` runs that search for many
 angles as one batched descent.  `bracket_floor` minimizes the same kind of
 form, the squared bracket on a subspace, to certify positive bracket floors,
 the computable form of "commuting implies dependent".
+
+Each objective call cuts the wedges of the frames that share a form into
+zero-padded blocks of at most `_BLOCK` rows, a whole number of `_TILE`-row
+tiles, and multiplies every block by its form in one stacked matmul: one
+gemm per block, small enough that OpenBLAS keeps it on the calling thread,
+and never a gemv, even for a lone frame.  A frame's value and gradient then
+do not depend on the batch it is evaluated in.  The retraction onto
+orthonormal 2-frames is a closed-form Gram-Schmidt step.
 """
 
 from __future__ import annotations
@@ -307,6 +315,12 @@ def _pair_form(basis: np.ndarray, pt: ThetaPoint) -> np.ndarray:
     return _compress(np.hstack(terms))
 
 
+# Most rows per gemm call in `_WedgeObjective`, and the tile that every
+# call's row count is a multiple of; the class docstring gives the reasons.
+_BLOCK = 32
+_TILE = 4
+
+
 class _WedgeObjective:
     """Squared norm |(x ^ y) L|^2 of orthonormal coordinate pairs (x, y),
     batched over frames that may use different forms L.
@@ -315,53 +329,100 @@ class _WedgeObjective:
     bilinear and antisymmetric in the pair, so it is a fixed quadratic form
     in the wedge coordinates x_a y_b - x_b y_a (a < b).  Frame s uses
     forms[group[s]], or forms[0] when `group` is None; forms of lower rank
-    are padded with zero columns.  Each frame goes through its own small
-    matmul, so its value does not depend on which other frames share the
-    batch.
+    are padded with zero columns.
+
+    The wedges of the frames that share a form are cut into blocks of equal
+    height, at most `_BLOCK` rows and a multiple of `_TILE`, padded with zero
+    rows.  One stacked matmul then takes every block times its form, which
+    numpy runs as one gemm per block, and the gradient's `res @ form.T`
+    reuses the same blocks.  The line search compares a frame's value on a
+    subset of frames with its value on the whole batch, so a frame's row
+    must not depend on the batch it is evaluated in.  Three facts of
+    OpenBLAS shape the blocks:
+
+    - a gemm above a size threshold is split over threads, whose workers
+      then spin and cost CPU time, not wall time; a 200-row product can
+      cross it, a (32, 105) @ (105, 47) block does not, so the block size
+      is a constant, not a function of the batch;
+    - the rows of a partial 4-row tile round differently from those of a
+      full one, and numpy sends a one-row product to gemv, which rounds
+      differently again, so every block is padded to whole tiles and a lone
+      row stays on gemm;
+    - a transposed operand rounds differently too, so the transposed forms
+      are stored contiguous.
     """
 
     def __init__(self, forms, group=None):
         self.forms = np.zeros((len(forms), len(forms[0]), max(f.shape[1] for f in forms)))
         for out, form in zip(self.forms, forms):
             out[:, :form.shape[1]] = form
-        self.group = None if group is None else np.asarray(group, dtype=np.intp)
+        self.forms_t = np.ascontiguousarray(np.swapaxes(self.forms, 1, 2))
+        # with one form, every frame uses it
+        self.group = None if group is None or len(forms) == 1 else np.asarray(group, np.intp)
         # d(d-1)/2 wedge rows for pairs in R^d
         self.upper = np.triu_indices(math.isqrt(2 * len(forms[0])) + 1, 1)
+        # x_a, y_b, x_b, y_a of the wedge rows, as columns of a frame's
+        # flattened (d, 2) coordinates
+        a, b = self.upper
+        self.wedge_columns = np.stack([2 * a, 2 * b + 1, 2 * b, 2 * a + 1])
+
+    def _wedges(self, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Wedge coordinates of the frames, written to `out`.  The operands
+        are gathered a pair at a time to bound memory, since bracket_floor
+        passes 20,000 frames."""
+        entries = coords.reshape(len(coords), -1)
+        xa, yb, xb, ya = self.wedge_columns
+        np.multiply(entries[:, xa], entries[:, yb], out=out)
+        cross = entries[:, xb]
+        cross *= entries[:, ya]
+        out -= cross
+        return out
 
     def _residuals(self, coords: np.ndarray, frames):
-        """Runs of frames sharing a form, as (frames, form), and every
-        frame's residual row (wedge) L."""
-        x, y = coords[..., 0], coords[..., 1]
-        a, b = self.upper
-        wedge = x[:, a] * y[:, b] - x[:, b] * y[:, a]
+        """Residual blocks (forms, blocks, height, r), the wedge blocks times
+        their forms, and the row of each frame in the flattened blocks."""
+        count = len(coords)
         if self.group is None:
-            group = np.zeros(len(coords), dtype=np.intp)
+            forms, sizes = self.forms[:1], np.array([count])
         else:
             group = self.group if frames is None else self.group[frames]
-        cuts = [0, *(np.flatnonzero(np.diff(group)) + 1), len(coords)]
-        runs = [(slice(lo, hi), self.forms[group[lo]]) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        res = np.empty((len(coords), 1, self.forms.shape[2]))
-        for run, form in runs:
-            np.matmul(wedge[run, None], form, out=res[run])
-        return runs, res[:, 0]
+            forms, sizes = self.forms, np.bincount(group, minlength=len(self.forms))
+        tallest = int(sizes.max())
+        height = min(_BLOCK, -(-tallest // _TILE) * _TILE)
+        stride = -(-tallest // height) * height
+        wedges = np.zeros((len(forms), stride // height, height, forms.shape[1]))
+        flat = wedges.reshape(-1, forms.shape[1])
+        if self.group is None:
+            rows = slice(0, count)
+            self._wedges(coords, flat[rows])
+        else:
+            # the frames of form g take rows g * stride, g * stride + 1, ...
+            rows = np.empty(count, dtype=np.intp)
+            rows[np.argsort(group, kind="stable")] = np.arange(count) + np.repeat(
+                np.arange(len(forms)) * stride - (np.cumsum(sizes) - sizes), sizes)
+            flat[rows] = self._wedges(coords, np.empty((count, forms.shape[1])))
+        return wedges @ forms[:, None], rows
 
     def value(self, coords: np.ndarray, frames=None) -> np.ndarray:
         """Objective at `coords`, which hold the frames `frames` (all if None)."""
-        return np.square(self._residuals(coords, frames)[1]).sum(axis=-1)
+        res, rows = self._residuals(coords, frames)
+        return np.square(_rows_of(res, rows)).sum(axis=-1)
 
     def value_and_grad(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # With G the antisymmetric matrix of d value / d wedge = 2 res L^T,
         # the gradient is G y in x and -G x in y.
-        runs, res = self._residuals(coords, None)
-        half = np.empty((len(coords), 1, self.forms.shape[1]))
-        for run, form in runs:
-            np.matmul(res[run, None], form.T, out=half[run])
+        res, rows = self._residuals(coords, None)
+        half = _rows_of(res @ self.forms_t[:len(res), None], rows)
         a, b = self.upper
         gmat = np.zeros((len(coords), coords.shape[1], coords.shape[1]))
-        gmat[:, a, b] = half[:, 0]
-        gmat[:, b, a] = -half[:, 0]
+        gmat[:, a, b] = half
+        gmat[:, b, a] = -half
         turned = np.stack([coords[..., 1], -coords[..., 0]], axis=-1)
-        return np.square(res).sum(axis=-1), 2.0 * (gmat @ turned)
+        return np.square(_rows_of(res, rows)).sum(axis=-1), 2.0 * (gmat @ turned)
+
+
+def _rows_of(blocks: np.ndarray, rows) -> np.ndarray:
+    return blocks.reshape(-1, blocks.shape[-1])[rows]
 
 
 def _tangent_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -371,8 +432,19 @@ def _tangent_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _retract(v: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(v)
-    return q
+    """Q factor of the 2-frames v (..., d, 2), up to column signs.
+
+    Gram-Schmidt with the second column orthogonalized twice, which keeps it
+    orthogonal to working precision even when the columns are nearly
+    dependent.  The columns may differ in sign from LAPACK's QR; every
+    objective here is even in each column.
+    """
+    x = v[..., 0] / np.sqrt(np.einsum("...i,...i->...", v[..., 0], v[..., 0]))[..., None]
+    y = v[..., 1]
+    for _ in range(2):
+        y = y - np.einsum("...i,...i->...", x, y)[..., None] * x
+    y = y / np.sqrt(np.einsum("...i,...i->...", y, y))[..., None]
+    return np.stack([x, y], axis=-1)
 
 
 def _stiefel_descent(objective, u0: np.ndarray, iterations: int,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,11 +31,21 @@ def _bool(x: bool) -> str:
     return "true" if x else "false"
 
 
+def _require_output_dir(path: str) -> None:
+    """Fail before any work when the directory meant to hold `path` is missing;
+    the file itself is written only once every result is computed."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory {directory!r} does not exist")
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
+    if args.json:
+        _require_output_dir(args.json)
     theta = math.radians(args.theta) if args.degrees else float(args.theta)
     report = None
     if args.mode in ("search", "both"):
@@ -77,6 +88,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
+    _require_output_dir(args.out)
     lo = math.radians(args.theta_from) if args.degrees else float(args.theta_from)
     hi = math.radians(args.theta_to) if args.degrees else float(args.theta_to)
     if not (0.0 < lo < hi < math.pi / 2.0):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,58 @@ def test_batched_objective_gradient_and_residuals():
 
     subset = np.array([5, 1])
     assert np.array_equal(objective.value(u[subset], subset), value[subset])
+
+
+def _pair_forms(thetas):
+    points = [embeddings.point_p(theta) for theta in thetas]
+    return [certify._pair_form(zeroplane.horizontal_basis(pt), pt) for pt in points]
+
+
+@pytest.mark.parametrize("forms,group", [
+    (_pair_forms((0.05, PI12, 0.45)), np.repeat([0, 1, 2], [61, 70, 69])),
+    (_pair_forms((PI12,)), np.zeros(200, dtype=int)),
+    ([certify._compress(certify._wedge_terms(certify.berger_complement_basis(),
+                                             certify._STRUCTURE))], None),
+], ids=["three-angles", "one-angle", "berger-complement"])
+def test_objective_rows_do_not_depend_on_the_batch(forms, group):
+    # the line search compares values of frame subsets with full-batch values
+    objective = certify._WedgeObjective(forms, group)
+    rng = np.random.default_rng(31)
+    dim = math.isqrt(2 * len(forms[0])) + 1
+    u = certify._retract(rng.standard_normal((200, dim, 2)))
+    value, grad = objective.value_and_grad(u)
+    assert np.array_equal(objective.value(u), value)
+    for count in (1, 2, certify._BLOCK - 1, certify._BLOCK, certify._BLOCK + 1, 200):
+        frames = np.sort(rng.choice(200, count, replace=False))
+        assert np.array_equal(objective.value(u[frames], frames), value[frames])
+        sub = certify._WedgeObjective(forms, None if group is None else group[frames])
+        sub_value, sub_grad = sub.value_and_grad(u[frames])
+        assert np.array_equal(sub_value, value[frames])
+        assert np.array_equal(sub_grad, grad[frames])
+
+
+def test_retraction_is_orthonormal_and_spans_the_qr_plane():
+    rng = np.random.default_rng(21)
+    random = rng.standard_normal((500, 15, 2))
+    x = random[..., 0] / np.linalg.norm(random[..., 0], axis=-1, keepdims=True)
+    z = random[..., 1] - np.einsum("si,si->s", x, random[..., 1])[:, None] * x
+    z /= np.linalg.norm(z, axis=-1, keepdims=True)
+    cos = 1.0 - 1e-10
+    nearly_dependent = np.stack([3.0 * x, 0.5 * (cos * x + math.sqrt(1.0 - cos**2) * z)],
+                                axis=-1)
+    for frames in (random, nearly_dependent):
+        q = certify._retract(frames)
+        gram = np.swapaxes(q, 1, 2) @ q
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
+        reference = np.linalg.qr(frames)[0]
+        gap = np.max(np.abs(q @ np.swapaxes(q, 1, 2)
+                            - reference @ np.swapaxes(reference, 1, 2)), axis=(1, 2))
+        # both are backward stable, so each plane is exact up to about
+        # eps * cond(frames); near-dependent columns widen the bound
+        bound = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.linalg.cond(frames))
+        assert np.all(gap <= bound)
+        for count in (1, 7):
+            assert np.array_equal(certify._retract(frames[:count]), q[:count])
 
 
 def _assert_gradient_matches_slopes(objective, u, grad, rng, step=1e-6):

@@ -194,6 +194,27 @@ def test_scan_unwritable_path_exit_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["scan", "--from", "0.1", "--to", "0.2", "--steps", "2", "--starts", "1",
+      "--iterations", "5"], "--out"),
+    (["check", "--theta", "0.2", "--mode", "both", "--starts", "1",
+      "--iterations", "5"], "--json"),
+], ids=["scan", "check"])
+def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        argv, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output path was rejected")
+
+    for name in ("search_zero_plane", "search_zero_planes", "certify_theta"):
+        monkeypatch.setattr(certify, name, no_work)
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, argv + [flag, str(missing / "report")])
+    assert code == 1
+    assert out == ""
+    assert str(missing) in err
+    assert not missing.exists()
+
+
 def test_selftest_passes_and_is_reproducible(capsys):
     first_code, first_out, _ = run(capsys, ["selftest"])
     second_code, second_out, _ = run(capsys, ["selftest"])
