@@ -10,22 +10,30 @@ convention baked into the system's fourth row is epsilon = +1 for ell = j
 and -1 for ell = k.
 
 `search_zero_plane` is the independent numerical check: it minimizes the
-squared commutation residuals of conditions (B) and (C) over g0-orthonormal
-pairs inside the condition-(A) subspace by projected gradient descent with
-backtracking, so a flat plane would show up as a (near-)zero minimum.  Every
-residual term is an antisymmetric bilinear bracket, so the objective is a
-fixed real quadratic form in the wedge x ^ y, built once per angle from the
-sp(3) structure constants.  `search_zero_planes` runs that search for many
-angles as one batched descent.  `bracket_floor` minimizes the same kind of
-form, the squared bracket on a subspace, to certify positive bracket floors,
-the computable form of "commuting implies dependent".
+squared commutation residuals of conditions (B) and (C) over 2-planes inside
+the condition-(A) subspace, so a flat plane would show up as a (near-)zero
+minimum.  Every residual term is an antisymmetric bilinear bracket, so the
+objective is a fixed real quadratic form in the wedge x ^ y, built once per
+angle from the sp(3) structure constants and folded into antisymmetric
+matrices A_k with residuals x^T A_k y.  That makes the Riemannian gradient
+and Hessian on the Grassmannian Gr(2, 15) cheap and explicit, and each start
+runs a Riemannian Newton method with a per-frame Levenberg shift until its
+gradient norm falls below `GRAD_TOL`, it stalls, or it reaches the
+iteration cap.  `search_zero_planes` runs that search for many angles as
+one batched descent.  `bracket_floor` refines its sampled minima of the same
+kind of form, the squared bracket on a subspace, with the same method, to
+certify positive bracket floors, the computable form of "commuting implies
+dependent".
 
-Each objective call cuts the wedges of the frames that share a form into
+Each objective pass cuts the rows of the frames that share a form into
 zero-padded blocks of at most `_BLOCK` rows, a whole number of `_TILE`-row
-tiles, and multiplies every block by its form in one stacked matmul: one
+tiles, and multiplies every block by its operand in one stacked matmul: one
 gemm per block, small enough that OpenBLAS keeps it on the calling thread,
-and never a gemv, even for a lone frame.  A frame's value and gradient then
-do not depend on the batch it is evaluated in.  The retraction onto
+and never a gemv, even for a lone frame; sum_k r_k A_k takes the residual
+rows four at a time as the columns of one gemm.  Every other product, and
+the Cholesky factorizations of the shifted Hessians, runs one frame at a
+time inside a stacked call.  A frame's values, and so its whole trajectory,
+then do not depend on the batch it is evaluated in.  The retraction onto
 orthonormal 2-frames is a closed-form Gram-Schmidt step.
 """
 
@@ -35,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import liealg
 from .embeddings import ThetaPoint, point_p, rho_rank
@@ -273,8 +282,8 @@ def identity_suite() -> list[IdentityCheck]:
 
 
 # ---------------------------------------------------------------------------
-# Bracket residuals as quadratic forms on wedges, and projected gradient
-# descent over orthonormal pairs
+# Bracket residuals as quadratic forms on wedges, and a batched Riemannian
+# Newton search over 2-planes
 # ---------------------------------------------------------------------------
 
 # Structure constants of sp(3) on the g0-orthonormal coordinates of R^21:
@@ -319,116 +328,171 @@ def _pair_form(basis: np.ndarray, pt: ThetaPoint) -> np.ndarray:
 # call's row count is a multiple of; the class docstring gives the reasons.
 _BLOCK = 32
 _TILE = 4
+# Most frames per pass of `_WedgeObjective.value` and `.model`.  They bound
+# the temporaries: bracket_floor samples 20,000 frames in one call, and a
+# model pass holds about 40 kB per pair frame.
+_VALUE_FRAMES = 1024
+_MODEL_FRAMES = 32
 
 
 class _WedgeObjective:
     """Squared norm |(x ^ y) L|^2 of orthonormal coordinate pairs (x, y),
-    batched over frames that may use different forms L.
+    batched over frames that may use different forms L, with its Riemannian
+    gradient and Hessian as a function of the plane span(x, y).
 
     Every residual the searches minimize is a sum of squared brackets, each
     bilinear and antisymmetric in the pair, so it is a fixed quadratic form
-    in the wedge coordinates x_a y_b - x_b y_a (a < b).  Frame s uses
-    forms[group[s]], or forms[0] when `group` is None; forms of lower rank
-    are padded with zero columns.
+    in the wedge coordinates x_a y_b - x_b y_a (a < b).  Column k of L is
+    folded once into the antisymmetric matrix A_k, so the residuals are
+    r_k = x^T A_k y, and the products A_k x and A_k y give the value, the
+    gradient and the Gauss-Newton part of the Hessian.  The methods take
+    `group`, the index of each frame's form (form 0 for all when None);
+    forms of lower rank are padded with zero columns.
 
-    The wedges of the frames that share a form are cut into blocks of equal
-    height, at most `_BLOCK` rows and a multiple of `_TILE`, padded with zero
-    rows.  One stacked matmul then takes every block times its form, which
-    numpy runs as one gemm per block, and the gradient's `res @ form.T`
-    reuses the same blocks.  The line search compares a frame's value on a
-    subset of frames with its value on the whole batch, so a frame's row
-    must not depend on the batch it is evaluated in.  Three facts of
+    The x and y rows of the frames that share a form are cut into blocks of
+    equal height, at most `_BLOCK` rows and a multiple of `_TILE`, padded
+    with zero rows.  One stacked matmul then takes every block times its
+    operand, which numpy runs as one gemm per block.  For sum_k r_k A_k the
+    residual rows go in as the columns of a gemm with the (d^2, K) operand,
+    always exactly `_TILE` of them, one whole column tile.  A search compares
+    a frame's values across calls with different live frames, so a frame's
+    row must not depend on the batch it is evaluated in.  Three facts of
     OpenBLAS shape the blocks:
 
     - a gemm above a size threshold is split over threads, whose workers
-      then spin and cost CPU time, not wall time; a 200-row product can
-      cross it, a (32, 105) @ (105, 47) block does not, so the block size
+      then spin and cost CPU time, not wall time; a 400-row product can
+      cross it, a (32, 15) @ (15, 705) block does not, so the block size
       is a constant, not a function of the batch;
     - the rows of a partial 4-row tile round differently from those of a
       full one, and numpy sends a one-row product to gemv, which rounds
       differently again, so every block is padded to whole tiles and a lone
-      row stays on gemm;
-    - a transposed operand rounds differently too, so the transposed forms
-      are stored contiguous.
+      row stays on gemm; columns behave alike, and a gemm with exactly four
+      columns gives each column the same result whatever the other three
+      hold, which wider column blocks do not;
+    - a transposed operand rounds differently too, so every operand is
+      stored contiguous.
     """
 
-    def __init__(self, forms, group=None):
-        self.forms = np.zeros((len(forms), len(forms[0]), max(f.shape[1] for f in forms)))
-        for out, form in zip(self.forms, forms):
-            out[:, :form.shape[1]] = form
-        self.forms_t = np.ascontiguousarray(np.swapaxes(self.forms, 1, 2))
-        # with one form, every frame uses it
-        self.group = None if group is None or len(forms) == 1 else np.asarray(group, np.intp)
-        # d(d-1)/2 wedge rows for pairs in R^d
-        self.upper = np.triu_indices(math.isqrt(2 * len(forms[0])) + 1, 1)
-        # x_a, y_b, x_b, y_a of the wedge rows, as columns of a frame's
-        # flattened (d, 2) coordinates
-        a, b = self.upper
-        self.wedge_columns = np.stack([2 * a, 2 * b + 1, 2 * b, 2 * a + 1])
+    def __init__(self, forms):
+        wedges = len(forms[0])
+        self.dim = dim = math.isqrt(2 * wedges) + 1
+        self.rank = rank = max(form.shape[1] for form in forms)
+        a, b = np.triu_indices(dim, 1)
+        products = np.zeros((len(forms), dim, dim, rank))
+        for out, form in zip(products, forms):
+            out[b, a, :form.shape[1]] = form
+            out[a, b, :form.shape[1]] = -form
+        # v @ products[f] lists (A_k v)_a at column a * rank + k, and
+        # matrices[f] @ r lists sum_k r_k A_k, transposed, row by row
+        self.products = products.reshape(len(forms), dim, dim * rank)
+        self.matrices = products.reshape(len(forms), dim * dim, rank)
 
-    def _wedges(self, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Wedge coordinates of the frames, written to `out`.  The operands
-        are gathered a pair at a time to bound memory, since bracket_floor
-        passes 20,000 frames."""
-        entries = coords.reshape(len(coords), -1)
-        xa, yb, xb, ya = self.wedge_columns
-        np.multiply(entries[:, xa], entries[:, yb], out=out)
-        cross = entries[:, xb]
-        cross *= entries[:, ya]
-        out -= cross
+    def _apply(self, rows: np.ndarray, group, operands: np.ndarray,
+               columns: bool = False) -> np.ndarray:
+        """rows[i] @ operands[group[i]] (operands[0] when group is None),
+        through the zero-padded blocks, or with `columns` the products
+        operands[group[i]] @ rows[i], the rows taken as the columns of
+        one gemm per whole tile of `_TILE` rows; only the span of forms
+        that the rows use is multiplied."""
+        count, width = rows.shape
+        if group is None:
+            operands, sizes = operands[:1], np.array([count])
+        else:
+            low = int(group.min())
+            group = group - low
+            sizes = np.bincount(group)
+            operands = operands[low:low + len(sizes)]
+        tallest = int(sizes.max())
+        if columns:
+            height = _TILE
+            stride = -(-tallest // _TILE) * _TILE
+        else:
+            height = min(_BLOCK, -(-tallest // _TILE) * _TILE)
+            stride = -(-tallest // height) * height
+        blocks = np.zeros((len(operands), stride // height, height, width))
+        flat = blocks.reshape(-1, width)
+        if group is None:
+            at = slice(0, count)
+        else:
+            # the rows of form g take rows g * stride, g * stride + 1, ...
+            at = np.empty(count, dtype=np.intp)
+            at[np.argsort(group, kind="stable")] = np.arange(count) + np.repeat(
+                np.arange(len(sizes)) * stride - (np.cumsum(sizes) - sizes), sizes)
+            if len(flat) == count and np.array_equal(at, np.arange(count)):
+                at = slice(0, count)  # sorted rows fill the blocks: no gather
+        flat[at] = rows
+        if columns:
+            tiles = np.ascontiguousarray(np.swapaxes(blocks, 2, 3))
+            out = np.swapaxes(operands[:, None] @ tiles, 2, 3)
+        else:
+            out = blocks @ operands[:, None]
+        return out.reshape(-1, out.shape[-1])[at]
+
+    def _group(self, group):
+        return None if group is None or len(self.products) == 1 else np.asarray(group, np.intp)
+
+    def value(self, coords: np.ndarray, group=None) -> np.ndarray:
+        """Objective at the frames `coords` (n, d, 2)."""
+        group = self._group(group)
+        out = np.empty(len(coords))
+        for first in range(0, len(coords), _VALUE_FRAMES):
+            part = slice(first, first + _VALUE_FRAMES)
+            ay = self._apply(coords[part, :, 1], None if group is None else group[part],
+                             self.products)
+            res = (coords[part, None, :, 0] @ ay.reshape(-1, self.dim, self.rank))[:, 0]
+            out[part] = np.square(res).sum(axis=-1)
         return out
 
-    def _residuals(self, coords: np.ndarray, frames):
-        """Residual blocks (forms, blocks, height, r), the wedge blocks times
-        their forms, and the row of each frame in the flattened blocks."""
-        count = len(coords)
-        if self.group is None:
-            forms, sizes = self.forms[:1], np.array([count])
-        else:
-            group = self.group if frames is None else self.group[frames]
-            forms, sizes = self.forms, np.bincount(group, minlength=len(self.forms))
-        tallest = int(sizes.max())
-        height = min(_BLOCK, -(-tallest // _TILE) * _TILE)
-        stride = -(-tallest // height) * height
-        wedges = np.zeros((len(forms), stride // height, height, forms.shape[1]))
-        flat = wedges.reshape(-1, forms.shape[1])
-        if self.group is None:
-            rows = slice(0, count)
-            self._wedges(coords, flat[rows])
-        else:
-            # the frames of form g take rows g * stride, g * stride + 1, ...
-            rows = np.empty(count, dtype=np.intp)
-            rows[np.argsort(group, kind="stable")] = np.arange(count) + np.repeat(
-                np.arange(len(forms)) * stride - (np.cumsum(sizes) - sizes), sizes)
-            flat[rows] = self._wedges(coords, np.empty((count, forms.shape[1])))
-        return wedges @ forms[:, None], rows
+    def model(self, coords: np.ndarray, group=None):
+        """Value, Riemannian gradient and Riemannian Hessian of the objective
+        on the planes spanned by `coords`, and the orthonormal complements
+        of the planes that the last two are written in (see `_tangent`).
 
-    def value(self, coords: np.ndarray, frames=None) -> np.ndarray:
-        """Objective at `coords`, which hold the frames `frames` (all if None)."""
-        res, rows = self._residuals(coords, frames)
-        return np.square(_rows_of(res, rows)).sum(axis=-1)
-
-    def value_and_grad(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # With G the antisymmetric matrix of d value / d wedge = 2 res L^T,
-        # the gradient is G y in x and -G x in y.
-        res, rows = self._residuals(coords, None)
-        half = _rows_of(res @ self.forms_t[:len(res), None], rows)
-        a, b = self.upper
-        gmat = np.zeros((len(coords), coords.shape[1], coords.shape[1]))
-        gmat[:, a, b] = half
-        gmat[:, b, a] = -half
-        turned = np.stack([coords[..., 1], -coords[..., 0]], axis=-1)
-        return np.square(_rows_of(res, rows)).sum(axis=-1), 2.0 * (gmat @ turned)
-
-
-def _rows_of(blocks: np.ndarray, rows) -> np.ndarray:
-    return blocks.reshape(-1, blocks.shape[-1])[rows]
+        With Q the complement and T the rows q_i^T A_k x, then q_i^T A_k y,
+        the gradient is 2 T r and the Hessian is 2 T T^T plus the
+        second-order term 2 [[0, C], [-C, 0]], C = Q^T (sum_k r_k A_k) Q,
+        minus twice the value (the Grassmann correction, since the
+        Euclidean gradient has X^T grad = 2 value I).
+        """
+        count, dim = len(coords), self.dim
+        size = 2 * (dim - 2)
+        group = self._group(group)
+        value, grad = np.empty(count), np.empty((count, size))
+        hess = np.empty((count, size, size))
+        comp = np.empty((count, dim, dim - 2))
+        for first in range(0, count, _MODEL_FRAMES):
+            part = slice(first, first + _MODEL_FRAMES)
+            part_group = None if group is None else group[part]
+            frames = coords[part]
+            # LAPACK's complete QR, one frame at a time: columns 2.. are an
+            # orthonormal basis of the complement of the plane
+            comp[part] = basis = np.linalg.qr(frames, mode="complete")[0][..., 2:]
+            rows = np.swapaxes(frames, 1, 2).reshape(-1, dim)
+            prods = self._apply(rows, None if part_group is None else np.repeat(part_group, 2),
+                                self.products).reshape(len(frames), 2, dim, self.rank)
+            res = (frames[:, None, :, 0] @ prods[:, 1])[:, 0]
+            value[part] = np.square(res).sum(axis=-1)
+            basis_t = np.swapaxes(basis, 1, 2)
+            jac = (basis_t[:, None] @ prods).reshape(len(frames), size, self.rank)
+            grad[part] = 2.0 * (jac @ res[..., None])[..., 0]
+            # matrices @ r gives the transpose of the antisymmetric sum_k r_k A_k
+            gmat = self._apply(res, part_group, self.matrices, columns=True)
+            curv = -(basis_t @ gmat.reshape(len(frames), dim, dim) @ basis)
+            block = hess[part]
+            np.matmul(jac, np.ascontiguousarray(np.swapaxes(jac, 1, 2)), out=block)
+            block[:, :dim - 2, dim - 2:] += curv
+            block[:, dim - 2:, :dim - 2] -= curv
+        diag = np.arange(size)
+        hess[:, diag, diag] -= value[:, None]
+        hess *= 2.0
+        return value, grad, hess, comp
 
 
-def _tangent_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    m = np.swapaxes(u, -2, -1) @ g
-    sym = 0.5 * (m + np.swapaxes(m, -2, -1))
-    return g - u @ sym
+def _tangent(comp: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Tangent 2-frames of the coordinates (s_x, s_y) of
+    `_WedgeObjective.model`: Q s_y moves x and -Q s_x moves y."""
+    half = comp.shape[-1]
+    return comp @ np.stack([step[:, half:], -step[:, :half]], axis=-1)
 
 
 def _retract(v: np.ndarray) -> np.ndarray:
@@ -447,90 +511,217 @@ def _retract(v: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=-1)
 
 
-def _stiefel_descent(objective, u0: np.ndarray, iterations: int,
-                     grad_tol: float = 1e-12, armijo: float = 1e-4,
-                     max_halvings: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Batched descent over orthonormal 2-frames with backtracking line search.
+def _bordered_factors(hess: np.ndarray, grad: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of [[hess + shift I, grad], [grad^T, inf]],
+    all NaN for each frame whose hess + shift I is not positive definite.
 
-    Each batch member keeps its own step size and moves independently of the
-    others, so one descent may carry frames of several angles; converged or
-    stalled members freeze in place.  The line search hands
-    `objective.value` the indices of the frames it is still trying.  Returns
-    final frames and objective values.
+    The last row of a factor is z = L^-1 grad, with L the factor of the
+    shifted Hessian, and the infinite corner keeps the last pivot positive.
+    numpy's public cholesky raises for the whole stack when one matrix is
+    indefinite; the gufunc it calls (`numpy.linalg._umath_linalg`, not
+    public API) fills only that matrix with NaN, so each frame's factor and
+    its fallback depend on that frame alone.
     """
-    u = np.array(u0, dtype=float)
-    value, grad = objective.value_and_grad(u)
-    n = u.shape[0]
-    step = np.ones(n)
-    frozen = np.zeros(n, dtype=bool)
-    for _ in range(int(iterations)):
-        tangent = _tangent_project(u, grad)
-        gnorm_sq = np.einsum("sij,sij->s", tangent, tangent)
-        frozen |= gnorm_sq <= grad_tol**2
-        if frozen.all():
+    count, size = grad.shape
+    bordered = np.empty((count, size + 1, size + 1))
+    bordered[:, :size, :size] = hess
+    bordered[:, :size, size] = grad
+    bordered[:, size, :size] = grad
+    bordered[:, size, size] = np.inf
+    diag = np.arange(size)
+    bordered[:, diag, diag] += shift[:, None]
+    with np.errstate(invalid="ignore"):
+        return _umath_linalg.cholesky_lo(bordered, signature="d->d", out=bordered)
+
+
+def _newton_steps(factors: np.ndarray) -> np.ndarray:
+    """Solutions s = -L^-T z of (hess + shift I) s = -grad, by back
+    substitution in the factors of `_bordered_factors`, two rows at a time."""
+    size = factors.shape[1] - 1
+    half = factors[:, size, :size]
+    step = np.empty((len(factors), size))
+    for j in range(size - 2, -1, -2):
+        rhs = half[:, j:j + 2] + (step[:, None, j + 2:] @ factors[:, j + 2:size, j:j + 2])[:, 0]
+        step[:, j + 1] = last = -rhs[:, 1] / factors[:, j + 1, j + 1]
+        step[:, j] = -(rhs[:, 0] + factors[:, j + 1, j] * last) / factors[:, j, j]
+    return step
+
+
+# A frame has converged once its Riemannian gradient norm is at most
+# GRAD_TOL.  Values are O(1e-3) to O(1), so this is about the square root of
+# their rounding.
+GRAD_TOL = 1e-8
+_STALLED, _CONVERGED = 1, 2
+# Most times one iteration raises a frame's shift eightfold before giving
+# the frame up as stalled; 8^40 exceeds any Hessian scale met here.
+_MAX_RAISES = 40
+
+
+@dataclass(frozen=True)
+class _Descent:
+    """Final frames of `_newton_search`, with per-frame value, Riemannian
+    gradient norm, iterations run and outcome (0 capped, `_STALLED` or
+    `_CONVERGED`)."""
+
+    frames: np.ndarray
+    value: np.ndarray
+    grad_norm: np.ndarray
+    iterations: np.ndarray
+    outcome: np.ndarray
+
+
+def _newton_search(objective: _WedgeObjective, frames: np.ndarray, cap: int,
+                   group=None) -> _Descent:
+    """Batched Riemannian Newton search on Gr(2, d), globalized by a
+    per-frame Levenberg shift; frame s uses the form group[s].
+
+    Each frame solves (H + mu I) s = -grad in the coordinates of
+    `_WedgeObjective.model`.  mu is a multiple of the largest diagonal entry
+    of H, 1 at first, and is raised eightfold until H + mu I is positive
+    definite.  A step is accepted when the objective falls by more than 1e-4
+    of the decrease its model predicts, and mu moves by Nielsen's rule
+    (Madsen, Nielsen and Tingleff, "Methods for non-linear least squares
+    problems", 2004).  A frame stops when its gradient norm is at most
+    GRAD_TOL (converged), when a rejected step promised less than the
+    rounding of its value (stalled), or after `cap` iterations.  Only live
+    frames are evaluated, and every decision is per frame, so a frame's
+    trajectory does not depend on the others.  No model outlives its
+    iteration, which bounds memory.
+    """
+    u = np.array(frames, dtype=float)
+    count = len(u)
+    group = np.zeros(count, dtype=np.intp) if group is None else np.asarray(group, np.intp)
+    value, grad_norm = np.empty(count), np.empty(count)
+    iterations = np.zeros(count, dtype=np.intp)
+    outcome = np.zeros(count, dtype=np.int8)
+    live = np.arange(count)
+    damping = np.ones(count)
+    eps = np.finfo(float).eps
+    for done in range(cap + 1):
+        f, g, h, comp = objective.model(u[live], group[live])
+        norm = np.sqrt(np.square(g).sum(axis=-1))
+        value[live], grad_norm[live] = f, norm
+        converged = norm <= GRAD_TOL
+        outcome[live[converged]] = _CONVERGED
+        if converged.any():
+            keep = ~converged
+            live, f, g, h, comp, damping = (a[keep] for a in (live, f, g, h, comp, damping))
+        if not live.size or done == cap:
             break
-        accepted = np.zeros(n, dtype=bool)
-        trial = step.copy()
-        for _ in range(max_halvings):
-            todo = ~frozen & ~accepted
-            if not todo.any():
+        diag = np.arange(g.shape[1])
+        scale = np.abs(h[:, diag, diag]).max(axis=-1)
+        shift = damping * scale
+        factors = _bordered_factors(h, g, shift)
+        for _ in range(_MAX_RAISES):
+            bad = np.flatnonzero(np.isnan(factors[:, -1, -1]))
+            if not bad.size:
                 break
-            idx = np.where(todo)[0]
-            cand = _retract(u[idx] - trial[idx, None, None] * tangent[idx])
-            cand_value = objective.value(cand, idx)
-            ok = cand_value <= value[idx] - armijo * trial[idx] * gnorm_sq[idx]
-            u[idx[ok]] = cand[ok]
-            value[idx[ok]] = cand_value[ok]
-            accepted[idx[ok]] = True
-            trial[idx[~ok]] *= 0.5
-        frozen |= ~frozen & ~accepted
-        value, grad = objective.value_and_grad(u)
-        step = np.minimum(trial * 2.0, 1.0)
-    return u, value
+            shift[bad] = np.maximum(8.0 * shift[bad], 1e-8 * scale[bad])
+            for first in range(0, bad.size, _MODEL_FRAMES):  # bounds the copies
+                rows = bad[first:first + _MODEL_FRAMES]
+                factors[rows] = _bordered_factors(h[rows], g[rows], shift[rows])
+        del h
+        # a frame still indefinite takes a zero step, so it stalls below
+        factors[np.isnan(factors[:, -1, -1])] = np.eye(factors.shape[1])
+        step = _newton_steps(factors)
+        # the model's decrease, from z = L^-1 grad in the factors' last row
+        predicted = 0.5 * (np.square(factors[:, -1, :-1]).sum(axis=-1)
+                           + shift * np.square(step).sum(axis=-1))
+        trial = _retract(u[live] + _tangent(comp, step))
+        del factors, comp
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = (f - objective.value(trial, group[live])) / predicted
+        accept = (ratio > 1e-4) & (predicted > 0.0)
+        iterations[live] += 1
+        fit = np.clip(np.nan_to_num(ratio), 0.0, 1.0)
+        damping = np.maximum(np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * fit - 1.0) ** 3),
+                                      4.0) * shift / scale, eps)
+        u[live[accept]] = trial[accept]
+        stalled = ~accept & (predicted <= 4.0 * eps * f)
+        if stalled.any():
+            outcome[live[stalled]] = _STALLED
+            live, damping = live[~stalled], damping[~stalled]
+    return _Descent(u, value, grad_norm, iterations, outcome)
 
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of the residual search at one angle."""
+    """Outcome of the residual search at one angle.
+
+    `iterations` is the cap per start; `iterations_used` is the most any
+    start ran.  `converged` and `stalled` count the starts that stopped on
+    the gradient tolerance and on rounding, and `grad_norm` is the
+    Riemannian gradient norm of the squared residual at the best frame.
+    """
 
     theta: float
     starts: int
     iterations: int
     min_residual: float
     argmin_pair: tuple[np.ndarray, np.ndarray]
+    iterations_used: int
+    converged: int
+    stalled: int
+    grad_norm: float
 
 
 # Largest number of frames one descent carries; longer scans run in
-# consecutive groups of whole rows so memory stays bounded.
+# consecutive groups of whole rows, and a row with more starts in
+# consecutive chunks of its starts, so memory stays bounded.
 MAX_DESCENT_FRAMES = 1024
 
 
 def _search_rows(thetas, starts: int, iterations: int, seeds) -> list[SearchReport]:
-    """One descent over every start frame of every angle in `thetas`."""
+    """Search every angle in `thetas`, all starts of all rows in one descent
+    when they fit in MAX_DESCENT_FRAMES, and otherwise chunk by chunk of
+    each row's starts, keeping each row's first best frame."""
     points = [point_p(theta) for theta in thetas]
     bases = [horizontal_basis(pt) for pt in points]
     for basis in bases:
         if basis.shape[1] != 15:
             raise ValueError(
                 f"degenerate horizontal space of dimension {basis.shape[1]}, expected 15")
-    objective = _WedgeObjective([_pair_form(basis, pt) for pt, basis in zip(points, bases)],
-                                np.repeat(np.arange(len(points)), starts))
-    u0 = np.stack([
-        np.random.default_rng(seed + index).standard_normal((15, 2))
-        for seed in seeds for index in range(starts)
-    ])
-    u, value = _stiefel_descent(objective, _retract(u0), iterations)
+    objective = _WedgeObjective([_pair_form(basis, pt) for pt, basis in zip(points, bases)])
+    rows = len(thetas)
+    best = np.full(rows, math.inf)
+    best_frame = np.zeros((rows, 15, 2))
+    best_grad = np.zeros(rows)
+    used = np.zeros(rows, dtype=np.intp)
+    converged = np.zeros(rows, dtype=np.intp)
+    stalled = np.zeros(rows, dtype=np.intp)
+    per_chunk = min(starts, MAX_DESCENT_FRAMES)
+    for first in range(0, starts, per_chunk):
+        count = min(per_chunk, starts - first)
+        u0 = np.stack([
+            np.random.default_rng(seed + index).standard_normal((15, 2))
+            for seed in seeds for index in range(first, first + count)
+        ])
+        run = _newton_search(objective, _retract(u0), iterations,
+                             np.repeat(np.arange(rows), count))
+        for row in range(rows):
+            span = slice(row * count, (row + 1) * count)
+            pick = row * count + int(np.argmin(run.value[span]))
+            if run.value[pick] < best[row]:
+                best[row] = run.value[pick]
+                best_frame[row] = run.frames[pick]
+                best_grad[row] = run.grad_norm[pick]
+            used[row] = max(used[row], int(run.iterations[span].max()))
+            converged[row] += int(np.sum(run.outcome[span] == _CONVERGED))
+            stalled[row] += int(np.sum(run.outcome[span] == _STALLED))
 
     reports = []
     for row, (theta, basis) in enumerate(zip(thetas, bases)):
-        best = row * starts + int(np.argmin(value[row * starts:(row + 1) * starts]))
-        coords = basis @ u[best]
+        coords = basis @ best_frame[row]
         reports.append(SearchReport(
             theta=theta,
             starts=starts,
             iterations=iterations,
-            min_residual=float(math.sqrt(max(float(value[best]), 0.0))),
+            min_residual=float(math.sqrt(max(float(best[row]), 0.0))),
             argmin_pair=(unvec_sp3(coords[:, 0]), unvec_sp3(coords[:, 1])),
+            iterations_used=int(used[row]),
+            converged=int(converged[row]),
+            stalled=int(stalled[row]),
+            grad_norm=float(best_grad[row]),
         ))
     return reports
 
@@ -554,8 +745,8 @@ def search_zero_planes(thetas, starts: int, iterations: int, seeds) -> list[Sear
     `search_zero_plane(thetas[r], starts, iterations, seeds[r])` would, and
     every frame descends independently, so each report matches the
     one-angle search.  Rows go through the descent in consecutive groups of
-    at most `MAX_DESCENT_FRAMES` frames (one row per group if a row alone is
-    larger).
+    at most `MAX_DESCENT_FRAMES` frames; a row with more starts goes alone,
+    its starts in consecutive chunks of at most that many.
     """
     starts, iterations, seeds = _search_sizes(starts, iterations, seeds)
     thetas = [float(theta) for theta in thetas]
@@ -574,7 +765,8 @@ def search_zero_plane(theta: float, starts: int = 200, iterations: int = 500,
     """Minimize the (B)+(C) residuals over orthonormal condition-(A) pairs.
 
     Start frames are drawn independently per start index from seed + index,
-    so reports are reproducible and starts may be distributed freely.  The
+    so reports are reproducible and starts may be distributed freely.  Each
+    start runs `_newton_search` for at most `iterations` iterations.  The
     reported residual is the g0 norm of the stacked commutators at the best
     frame found.
     """
@@ -608,9 +800,14 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
     """Minimized squared bracket norm over orthonormal pairs in a subspace.
 
     Random orthonormal pairs are sampled first; the best candidates are then
-    refined by the same descent the plane search uses.  A strictly positive
-    floor certifies that commuting pairs in the subspace are dependent.
+    refined by the same Newton search the plane search uses, for at most
+    `refine_iterations` iterations each.  A strictly positive floor
+    certifies that commuting pairs in the subspace are dependent.
     """
+    for name, size, least in (("samples", samples, 1), ("refine_starts", refine_starts, 1),
+                              ("refine_iterations", refine_iterations, 0)):
+        if size < least:
+            raise ValueError(f"{name} must be at least {least}, got {size!r}")
     subspace = np.asarray(subspace, dtype=float)
     dim = subspace.shape[1]
     objective = _WedgeObjective([_compress(_wedge_terms(subspace, _STRUCTURE))])
@@ -633,9 +830,11 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
 
     frames = np.concatenate(pool_frames)
     values = np.concatenate(pool_values)
-    keep = np.argsort(values)[:refine_starts]
-    _, refined = _stiefel_descent(objective, frames[keep], refine_iterations)
-    return float(min(best_value, float(refined.min())))
+    pool = frames[np.argsort(values)[:refine_starts]]
+    for first in range(0, len(pool), MAX_DESCENT_FRAMES):
+        run = _newton_search(objective, pool[first:first + MAX_DESCENT_FRAMES], refine_iterations)
+        best_value = min(best_value, float(run.value.min()))
+    return best_value
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,10 @@ def cmd_check(args) -> int:
             "starts": report.starts,
             "iterations": report.iterations,
             "min_residual": report.min_residual,
+            "iterations_used": report.iterations_used,
+            "converged": report.converged,
+            "stalled": report.stalled,
+            "grad_norm": report.grad_norm,
         }
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -396,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="algebraic")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--starts", type=int, default=200)
-    check.add_argument("--iterations", type=int, default=500)
+    check.add_argument("--iterations", type=int, default=500,
+                       help="most search iterations per start")
     check.add_argument("--json", default=None, help="write a JSON report here")
     check.set_defaults(func=cmd_check)
 
@@ -407,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", required=True)
     scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--starts", type=int, default=16)
-    scan.add_argument("--iterations", type=int, default=500)
+    scan.add_argument("--iterations", type=int, default=500,
+                      help="most search iterations per start")
     scan.add_argument("--degrees", action="store_true")
     scan.set_defaults(func=cmd_scan)
 

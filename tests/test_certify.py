@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -145,12 +146,12 @@ def test_batched_objective_gradient_and_residuals():
     bases = [zeroplane.horizontal_basis(pt) for pt in points]
     angle = np.array([0, 1, 2, 1, 0, 2, 2])
     objective = certify._WedgeObjective(
-        [certify._pair_form(basis, pt) for pt, basis in zip(points, bases)], angle)
+        [certify._pair_form(basis, pt) for pt, basis in zip(points, bases)])
     rng = np.random.default_rng(4)
     u = certify._retract(rng.standard_normal((angle.size, 15, 2)))
-    value, grad = objective.value_and_grad(u)
-    # the line search compares values from both entry points
-    assert np.array_equal(objective.value(u), value)
+    value = objective.model(u, angle)[0]
+    # bracket_floor ranks samples by `value` and refines them by `model`
+    assert np.array_equal(objective.value(u, angle), value)
 
     for frame, a in enumerate(angle):
         coords = bases[a] @ u[frame]
@@ -159,10 +160,10 @@ def test_batched_objective_gradient_and_residuals():
                             zeroplane.conditionC_residual(x, y, points[a]))
         assert np.sqrt(value[frame]) == pytest.approx(expected, rel=1e-9)
 
-    _assert_gradient_matches_slopes(objective, u, grad, rng)
+    _assert_model_matches_differences(objective, u, rng, angle)
 
     subset = np.array([5, 1])
-    assert np.array_equal(objective.value(u[subset], subset), value[subset])
+    assert np.array_equal(objective.value(u[subset], angle[subset]), value[subset])
 
 
 def _pair_forms(thetas):
@@ -177,20 +178,23 @@ def _pair_forms(thetas):
                                              certify._STRUCTURE))], None),
 ], ids=["three-angles", "one-angle", "berger-complement"])
 def test_objective_rows_do_not_depend_on_the_batch(forms, group):
-    # the line search compares values of frame subsets with full-batch values
-    objective = certify._WedgeObjective(forms, group)
+    # the search evaluates only its live frames and compares their values
+    # with values from earlier, larger batches
+    objective = certify._WedgeObjective(forms)
     rng = np.random.default_rng(31)
     dim = math.isqrt(2 * len(forms[0])) + 1
     u = certify._retract(rng.standard_normal((200, dim, 2)))
-    value, grad = objective.value_and_grad(u)
-    assert np.array_equal(objective.value(u), value)
+    model = objective.model(u, group)
+    assert np.array_equal(objective.value(u, group), model[0])
     for count in (1, 2, certify._BLOCK - 1, certify._BLOCK, certify._BLOCK + 1, 200):
         frames = np.sort(rng.choice(200, count, replace=False))
-        assert np.array_equal(objective.value(u[frames], frames), value[frames])
-        sub = certify._WedgeObjective(forms, None if group is None else group[frames])
-        sub_value, sub_grad = sub.value_and_grad(u[frames])
-        assert np.array_equal(sub_value, value[frames])
-        assert np.array_equal(sub_grad, grad[frames])
+        sub_group = None if group is None else group[frames]
+        assert np.array_equal(objective.value(u[frames], sub_group), model[0][frames])
+        for part, whole in zip(objective.model(u[frames], sub_group), model):
+            assert np.array_equal(part, whole[frames])
+        fresh = certify._WedgeObjective(forms)
+        for part, whole in zip(fresh.model(u[frames], sub_group), model):
+            assert np.array_equal(part, whole[frames])
 
 
 def test_retraction_is_orthonormal_and_spans_the_qr_plane():
@@ -217,14 +221,32 @@ def test_retraction_is_orthonormal_and_spans_the_qr_plane():
             assert np.array_equal(certify._retract(frames[:count]), q[:count])
 
 
-def _assert_gradient_matches_slopes(objective, u, grad, rng, step=1e-6):
+def _assert_model_matches_differences(objective, u, rng, group=None, step=1e-6,
+                                     curve_step=1e-4):
+    """The Riemannian gradient and Hessian of `model` against central
+    differences of the value along retracted random tangent directions;
+    span(u + t Z) is a second-order retraction on the Grassmannian."""
+    value, grad, hess, comp = objective.model(u, group)
+    assert np.array_equal(objective.value(u, group), value)
+    assert np.max(np.abs(hess - np.swapaxes(hess, 1, 2))) <= 1e-12
+    gram = np.swapaxes(comp, 1, 2) @ comp
+    assert np.max(np.abs(gram - np.eye(comp.shape[2]))) <= 1e-13
+    assert np.max(np.abs(np.swapaxes(u, 1, 2) @ comp)) <= 1e-13
+
+    def along(coords, t):
+        return objective.value(certify._retract(u + t * certify._tangent(comp, coords)), group)
+
     for _ in range(3):
-        direction = certify._tangent_project(u, rng.standard_normal(u.shape))
-        direction /= np.linalg.norm(direction, axis=(1, 2), keepdims=True)
-        slope = (objective.value(u + step * direction)
-                 - objective.value(u - step * direction)) / (2.0 * step)
-        predicted = np.einsum("sij,sij->s", grad, direction)
-        assert slope == pytest.approx(predicted, rel=1e-6, abs=1e-9)
+        coords = rng.standard_normal(grad.shape)
+        coords /= np.linalg.norm(coords, axis=-1, keepdims=True)
+        assert np.allclose(np.linalg.norm(certify._tangent(comp, coords), axis=(1, 2)), 1.0,
+                           rtol=0.0, atol=1e-13)
+        slope = (along(coords, step) - along(coords, -step)) / (2.0 * step)
+        assert slope == pytest.approx(np.sum(grad * coords, axis=-1), rel=1e-6, abs=1e-9)
+        curve = (along(coords, curve_step) - 2.0 * value
+                 + along(coords, -curve_step)) / curve_step**2
+        predicted = np.einsum("si,sij,sj->s", coords, hess, coords)
+        assert curve == pytest.approx(predicted, rel=1e-5, abs=1e-6)
 
 
 @pytest.mark.parametrize("basis", [certify.p_subspace_basis(),
@@ -235,13 +257,12 @@ def test_bracket_floor_objective_is_squared_bracket(basis):
         [certify._compress(certify._wedge_terms(basis, certify._STRUCTURE))])
     rng = np.random.default_rng(12)
     u = certify._retract(rng.standard_normal((6, basis.shape[1], 2)))
-    value, grad = objective.value_and_grad(u)
-    assert np.array_equal(objective.value(u), value)
+    value = objective.value(u)
     for frame in range(len(u)):
         coords = basis @ u[frame]
         b = liealg.bracket(liealg.unvec_sp3(coords[:, 0]), liealg.unvec_sp3(coords[:, 1]))
         assert value[frame] == pytest.approx(liealg.g0_inner(b, b), rel=1e-12)
-    _assert_gradient_matches_slopes(objective, u, grad, rng)
+    _assert_model_matches_differences(objective, u, rng)
 
 
 def test_batched_search_matches_one_angle_searches(monkeypatch):
@@ -258,6 +279,47 @@ def test_batched_search_matches_one_angle_searches(monkeypatch):
         for report in (a, b):
             assert report.min_residual == pytest.approx(single.min_residual, rel=1e-9)
             assert np.allclose(report.argmin_pair[0], single.argmin_pair[0], atol=1e-9)
+
+
+def test_search_converges_at_pi12():
+    report = certify.search_zero_plane(PI12, starts=200, iterations=500, seed=0)
+    # the floor that per-start L-BFGS on the same objective reaches
+    assert abs(report.min_residual - 0.0879999554) <= 1e-6
+    assert report.grad_norm <= certify.GRAD_TOL
+    assert report.iterations_used < 500
+    assert report.converged + report.stalled == 200
+    doubled = certify.search_zero_plane(PI12, starts=200, iterations=1000, seed=0)
+    assert abs(doubled.min_residual - report.min_residual) <= 1e-12
+
+
+def _assert_same_report(a, b):
+    for field in dataclasses.fields(a):
+        left, right = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "argmin_pair":
+            assert all(np.array_equal(p, q) for p, q in zip(left, right))
+        else:
+            assert left == right, field.name
+
+
+def test_search_chunks_a_row_larger_than_a_descent(monkeypatch):
+    thetas, seeds = [0.2, PI12], [4, 900]
+    whole = certify.search_zero_planes(thetas, 7, 60, seeds)
+    sizes = []
+    real = certify._newton_search
+
+    def spy(objective, frames, cap, group):
+        sizes.append(len(frames))
+        return real(objective, frames, cap, group)
+
+    monkeypatch.setattr(certify, "MAX_DESCENT_FRAMES", 3)
+    monkeypatch.setattr(certify, "_newton_search", spy)
+    chunked = certify.search_zero_planes(thetas, 7, 60, seeds)
+    single = certify.search_zero_plane(0.2, starts=7, iterations=60, seed=4)
+    # two rows, then the one-angle search, each in chunks of 3, 3 and 1 starts
+    assert sizes == [3, 3, 1] * 3
+    for a, b in zip(whole, chunked):
+        _assert_same_report(a, b)
+    _assert_same_report(whole[0], single)
 
 
 def test_search_rejects_negative_iterations_and_seed_mismatch():
@@ -289,6 +351,13 @@ def test_bracket_floor_quick():
     berger = certify.bracket_floor(certify.berger_complement_basis(), samples=2000,
                                    seed=2, refine_starts=8, refine_iterations=120)
     assert 1e-6 <= berger <= 0.4 + 1e-6
+
+
+@pytest.mark.parametrize("name,value", [
+    ("samples", 0), ("refine_starts", 0), ("refine_iterations", -1)])
+def test_bracket_floor_rejects_bad_sizes(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        certify.bracket_floor(certify.p_subspace_basis(), **{"samples": 10, name: value})
 
 
 def test_subspace_bases():

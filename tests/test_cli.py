@@ -94,6 +94,30 @@ def test_check_json_mirrors_certificate(tmp_path, capsys):
     assert payload["search"]["starts"] == 4
 
 
+def test_check_json_reports_search_diagnostics(tmp_path, capsys):
+    path = tmp_path / "search.json"
+    for iterations in (0, 3, 200):
+        code, out, _ = run(capsys, [
+            "check", "--theta", "0.2617993878", "--mode", "both", "--starts", "5",
+            "--iterations", str(iterations), "--seed", "2", "--json", str(path)])
+        assert code == 0
+        search = json.loads(path.read_text())["search"]
+        assert set(search) == {"starts", "iterations", "min_residual", "iterations_used",
+                               "converged", "stalled", "grad_norm"}
+        report = certify.search_zero_plane(0.2617993878, starts=5, iterations=iterations,
+                                           seed=2)
+        assert search == {
+            "starts": 5, "iterations": iterations, "min_residual": report.min_residual,
+            "iterations_used": report.iterations_used, "converged": report.converged,
+            "stalled": report.stalled, "grad_norm": report.grad_norm}
+        assert f"min residual = {format(report.min_residual, '.17g')}" in out
+        assert search["iterations_used"] <= iterations
+        assert search["converged"] + search["stalled"] <= 5
+    # every start converges well inside the cap at this angle
+    assert search["converged"] == 5 and search["iterations_used"] < 200
+    assert search["grad_norm"] <= certify.GRAD_TOL
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(biquot.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
