@@ -295,11 +295,14 @@ _K, _P = slice(0, 13), slice(13, 21)
 
 
 def _wedge_terms(vectors: np.ndarray, structure: np.ndarray) -> np.ndarray:
-    """Rows a < b of [v_a, v_b] for the columns v_a of `vectors`, so that the
-    bracket of x = V u and y = V v is (u ^ v) times this matrix."""
-    dim, count = vectors.shape
-    half = (vectors.T @ structure.reshape(dim, -1)).reshape(count, dim, -1)
-    return (vectors.T @ half)[np.triu_indices(count, 1)]
+    """Rows a < b of [v_a, v_b] for the columns v_a of `vectors` (..., dim,
+    count), so that the bracket of x = V u and y = V v is (u ^ v) times this
+    matrix; leading axes are a stack of independent bases."""
+    dim, count = vectors.shape[-2:]
+    columns = np.swapaxes(vectors, -1, -2)
+    half = (columns @ structure.reshape(dim, -1)).reshape(columns.shape[:-1] + (dim, -1))
+    a, b = np.triu_indices(count, 1)
+    return (columns[..., None, :, :] @ half)[..., a, b, :]
 
 
 def _compress(terms: np.ndarray) -> np.ndarray:
@@ -309,19 +312,24 @@ def _compress(terms: np.ndarray) -> np.ndarray:
     return left[:, :rank] * svals[:rank]
 
 
-def _pair_form(basis: np.ndarray, pt: ThetaPoint) -> np.ndarray:
-    """Form of the squared (B)+(C) residuals at the point `pt` on wedges of
-    `basis` columns.
+def _pair_forms(points: list[ThetaPoint], bases: list[np.ndarray]) -> list[np.ndarray]:
+    """Forms of the squared (B)+(C) residuals at the points `points`, each on
+    wedges of the columns of its basis in `bases`.
 
     The terms are [x, y], the k-k and p-p brackets of the pair, and the same
-    two brackets of the pair moved by Ad_{p^-1}.
+    two brackets of the pair moved by Ad_{p^-1}.  The points go through
+    every product as one stack, and each form equals the one its point
+    alone gives.
     """
-    transport = liealg.vec_sp3(liealg.adjoint(liealg.group_inverse(pt.matrix), _UNITS)).T
+    matrices = np.stack([pt.matrix for pt in points])
+    basis = np.stack(bases)
+    transport = np.swapaxes(liealg.vec_sp3(
+        liealg.adjoint(liealg.group_inverse(matrices)[:, None], _UNITS)), 1, 2)
     terms = [_wedge_terms(basis, _STRUCTURE)]
     for vectors in (basis, transport @ basis):
-        terms.append(_wedge_terms(vectors[_K], _STRUCTURE[_K, _K, _K]))
-        terms.append(_wedge_terms(vectors[_P], _STRUCTURE[_P, _P, _K]))
-    return _compress(np.hstack(terms))
+        terms.append(_wedge_terms(vectors[:, _K], _STRUCTURE[_K, _K, _K]))
+        terms.append(_wedge_terms(vectors[:, _P], _STRUCTURE[_P, _P, _K]))
+    return [_compress(stack) for stack in np.concatenate(terms, axis=-1)]
 
 
 # Most rows per gemm call in `_WedgeObjective`, and the tile that every
@@ -418,8 +426,6 @@ class _WedgeObjective:
             at = np.empty(count, dtype=np.intp)
             at[np.argsort(group, kind="stable")] = np.arange(count) + np.repeat(
                 np.arange(len(sizes)) * stride - (np.cumsum(sizes) - sizes), sizes)
-            if len(flat) == count and np.array_equal(at, np.arange(count)):
-                at = slice(0, count)  # sorted rows fill the blocks: no gather
         flat[at] = rows
         if columns:
             tiles = np.ascontiguousarray(np.swapaxes(blocks, 2, 3))
@@ -459,14 +465,13 @@ class _WedgeObjective:
         group = self._group(group)
         value, grad = np.empty(count), np.empty((count, size))
         hess = np.empty((count, size, size))
-        comp = np.empty((count, dim, dim - 2))
+        # LAPACK's complete QR, one frame at a time: columns 2.. are an
+        # orthonormal basis of the complement of the plane
+        comp = np.linalg.qr(coords, mode="complete")[0][..., 2:]
         for first in range(0, count, _MODEL_FRAMES):
             part = slice(first, first + _MODEL_FRAMES)
             part_group = None if group is None else group[part]
-            frames = coords[part]
-            # LAPACK's complete QR, one frame at a time: columns 2.. are an
-            # orthonormal basis of the complement of the plane
-            comp[part] = basis = np.linalg.qr(frames, mode="complete")[0][..., 2:]
+            frames, basis = coords[part], comp[part]
             rows = np.swapaxes(frames, 1, 2).reshape(-1, dim)
             prods = self._apply(rows, None if part_group is None else np.repeat(part_group, 2),
                                 self.products).reshape(len(frames), 2, dim, self.rank)
@@ -681,7 +686,7 @@ def _search_rows(thetas, starts: int, iterations: int, seeds) -> list[SearchRepo
         if basis.shape[1] != 15:
             raise ValueError(
                 f"degenerate horizontal space of dimension {basis.shape[1]}, expected 15")
-    objective = _WedgeObjective([_pair_form(basis, pt) for pt, basis in zip(points, bases)])
+    objective = _WedgeObjective(_pair_forms(points, bases))
     rows = len(thetas)
     best = np.full(rows, math.inf)
     best_frame = np.zeros((rows, 15, 2))
@@ -831,10 +836,7 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
     frames = np.concatenate(pool_frames)
     values = np.concatenate(pool_values)
     pool = frames[np.argsort(values)[:refine_starts]]
-    for first in range(0, len(pool), MAX_DESCENT_FRAMES):
-        run = _newton_search(objective, pool[first:first + MAX_DESCENT_FRAMES], refine_iterations)
-        best_value = min(best_value, float(run.value.min()))
-    return best_value
+    return min(best_value, float(_newton_search(objective, pool, refine_iterations).value.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ rotation by theta in the (1,3) coordinate plane, with +sin(theta) in the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,12 +109,23 @@ class BasisTriple:
         return float(np.linalg.svd(coords, compute_uv=False)[-1])
 
 
+def _constant_triple(elem) -> BasisTriple:
+    images = [elem(unit) for unit in (_UNIT_I, _UNIT_J, _UNIT_K)]
+    for image in images:
+        image.setflags(write=False)
+    return BasisTriple(*images)
+
+
+@functools.cache
 def h1_basis() -> BasisTriple:
-    return BasisTriple(h1_elem(_UNIT_I), h1_elem(_UNIT_J), h1_elem(_UNIT_K))
+    """The h1 generators, built once; the arrays are read-only."""
+    return _constant_triple(h1_elem)
 
 
+@functools.cache
 def h2_basis() -> BasisTriple:
-    return BasisTriple(h2_elem(_UNIT_I), h2_elem(_UNIT_J), h2_elem(_UNIT_K))
+    """The h2 generators, built once; the arrays are read-only."""
+    return _constant_triple(h2_elem)
 
 
 def p_matrix(theta) -> np.ndarray:

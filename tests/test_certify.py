@@ -145,8 +145,7 @@ def test_batched_objective_gradient_and_residuals():
     points = [embeddings.point_p(theta) for theta in thetas]
     bases = [zeroplane.horizontal_basis(pt) for pt in points]
     angle = np.array([0, 1, 2, 1, 0, 2, 2])
-    objective = certify._WedgeObjective(
-        [certify._pair_form(basis, pt) for pt, basis in zip(points, bases)])
+    objective = certify._WedgeObjective(certify._pair_forms(points, bases))
     rng = np.random.default_rng(4)
     u = certify._retract(rng.standard_normal((angle.size, 15, 2)))
     value = objective.model(u, angle)[0]
@@ -168,7 +167,7 @@ def test_batched_objective_gradient_and_residuals():
 
 def _pair_forms(thetas):
     points = [embeddings.point_p(theta) for theta in thetas]
-    return [certify._pair_form(zeroplane.horizontal_basis(pt), pt) for pt in points]
+    return certify._pair_forms(points, [zeroplane.horizontal_basis(pt) for pt in points])
 
 
 @pytest.mark.parametrize("forms,group", [
@@ -247,6 +246,34 @@ def _assert_model_matches_differences(objective, u, rng, group=None, step=1e-6,
                  + along(coords, -curve_step)) / curve_step**2
         predicted = np.einsum("si,sij,sj->s", coords, hess, coords)
         assert curve == pytest.approx(predicted, rel=1e-5, abs=1e-6)
+
+
+def test_bordered_factors_mark_only_the_indefinite_frames():
+    # a frame's fallback must not depend on the others, so an indefinite
+    # frame in a mixed stack comes back all NaN and alone
+    rng = np.random.default_rng(41)
+    size, count = 26, 9
+    a = rng.standard_normal((count, size, size))
+    hess = a @ np.swapaxes(a, 1, 2) / size
+    hess[[1, 4, 5]] -= 4.0 * np.eye(size)
+    grad = rng.standard_normal((count, size))
+    shift = np.full(count, 0.1)
+    factors = certify._bordered_factors(hess, grad, shift)
+    shifted = hess + 0.1 * np.eye(size)
+    indefinite = np.linalg.eigvalsh(shifted)[:, 0] < 0.0
+    assert np.flatnonzero(indefinite).tolist() == [1, 4, 5]
+    for frame in range(count):
+        if indefinite[frame]:
+            assert np.all(np.isnan(factors[frame]))
+            continue
+        alone = certify._bordered_factors(hess[frame:frame + 1], grad[frame:frame + 1],
+                                          shift[frame:frame + 1])
+        assert np.array_equal(factors[frame], alone[0])
+        lower, half = factors[frame, :size, :size], factors[frame, size, :size]
+        assert np.array_equal(lower, np.tril(lower))
+        assert np.allclose(lower @ lower.T, shifted[frame], rtol=0.0, atol=1e-12)
+        assert np.allclose(lower @ half, grad[frame], rtol=0.0, atol=1e-12)
+        assert factors[frame, size, size] == np.inf
 
 
 @pytest.mark.parametrize("basis", [certify.p_subspace_basis(),
