@@ -63,6 +63,7 @@ __all__ = [
     "kernel_reference",
     "kernel_solution",
     "p_subspace_basis",
+    "reference_match",
     "search_zero_plane",
     "search_zero_planes",
     "sign_certificate",
@@ -171,16 +172,11 @@ def kernel_solution(theta: float, ell: str) -> tuple[int, KernelSolution]:
     return dimension, KernelSolution(ell=ell, epsilon=eps, coords=coords)
 
 
-def _reference_match(theta: float, solution: KernelSolution) -> float:
+def reference_match(theta: float, solution: KernelSolution) -> float:
+    """|cosine| between a kernel vector and the closed form on its axis."""
     reference = kernel_reference(theta, solution.epsilon)
     denom = np.linalg.norm(solution.coords) * np.linalg.norm(reference)
     return float(abs(solution.coords @ reference) / denom)
-
-
-def kernel_match(theta: float, ell: str) -> float:
-    """|cosine| between the SVD kernel vector and the closed form."""
-    _, solution = kernel_solution(theta, ell)
-    return _reference_match(theta, solution)
 
 
 def reduced_pair_from_axis(coords: np.ndarray, ell: str):
@@ -890,7 +886,7 @@ def certify_theta(theta: float) -> Certificate:
     for ell in ("j", "k"):
         try:
             dims[ell], solution = kernel_solution(theta, ell)
-            matches[ell] = _reference_match(theta, solution)
+            matches[ell] = reference_match(theta, solution)
         except ValueError:
             dims[ell] = 0
             matches[ell] = 0.0

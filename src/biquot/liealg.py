@@ -39,7 +39,6 @@ __all__ = [
     "gram_residual",
     "group_inverse",
     "identity",
-    "mat_from_quaternions",
     "mat_mul",
     "normalized_gram_residual",
     "null_space",
@@ -48,7 +47,6 @@ __all__ = [
     "skew_defect",
     "sp2_project",
     "split_kp",
-    "to_quaternion_entries",
     "unvec_sp3",
     "vec_sp3",
 ]
@@ -104,29 +102,6 @@ def identity(n: int = 3) -> np.ndarray:
     out = np.zeros((n, n, 4))
     out[np.arange(n), np.arange(n), 0] = 1.0
     return out
-
-
-def mat_from_quaternions(rows) -> np.ndarray:
-    """Build a component array from a nested grid of Quaternion-like entries.
-
-    Entries may be Quaternion instances, scalars (treated as real), or
-    length-4 component sequences.
-    """
-    def comp(q):
-        if isinstance(q, Quaternion):
-            return q.array
-        if np.isscalar(q):
-            return np.array([float(q), 0.0, 0.0, 0.0])
-        return np.asarray(q, dtype=float)
-
-    return np.stack([np.stack([comp(q) for q in row]) for row in rows])
-
-
-def to_quaternion_entries(a: np.ndarray) -> list[list[Quaternion]]:
-    """Entry grid of a single (n, n, 4) matrix as Quaternion scalars."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[-3]
-    return [[Quaternion.from_array(a[r, c]) for c in range(n)] for r in range(n)]
 
 
 def skew_defect(a: np.ndarray) -> np.ndarray:

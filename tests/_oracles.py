@@ -1,6 +1,7 @@
 """Independent reference computations used by the tests.
 
-These deliberately avoid the library's array fast paths: matrix products are
+These deliberately avoid the library's array fast paths: matrices are read
+into and built from grids of scalar Quaternion entries, matrix products are
 accumulated entry by entry, and the thirteen reduced-pair equations are
 written out, with the scalar Quaternion class.
 """
@@ -9,8 +10,30 @@ import math
 
 import numpy as np
 
-from biquot.liealg import mat_from_quaternions, to_quaternion_entries
 from biquot.quat import Quaternion
+
+
+def mat_from_quaternions(rows) -> np.ndarray:
+    """Build a component array from a nested grid of Quaternion-like entries.
+
+    Entries may be Quaternion instances, scalars (treated as real), or
+    length-4 component sequences.
+    """
+    def comp(q):
+        if isinstance(q, Quaternion):
+            return q.array
+        if np.isscalar(q):
+            return np.array([float(q), 0.0, 0.0, 0.0])
+        return np.asarray(q, dtype=float)
+
+    return np.stack([np.stack([comp(q) for q in row]) for row in rows])
+
+
+def to_quaternion_entries(a: np.ndarray) -> list[list[Quaternion]]:
+    """Entry grid of a single (n, n, 4) matrix as Quaternion scalars."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-3]
+    return [[Quaternion.from_array(a[r, c]) for c in range(n)] for r in range(n)]
 
 
 def scalar_mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

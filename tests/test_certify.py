@@ -65,7 +65,7 @@ def test_kernel_solution_dimension_and_gauge():
             assert dim == 1
             assert sol.coords[1] == pytest.approx(-R3 * np.cos(theta))
             assert sol.epsilon == (1.0 if ell == "j" else -1.0)
-            assert certify.kernel_match(theta, ell) >= certify.KERNEL_MATCH_MIN
+            assert certify.reference_match(theta, sol) >= certify.KERNEL_MATCH_MIN
 
 
 def test_kernel_frozen_values_two_paths():

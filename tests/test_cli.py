@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import biquot
-from biquot import certify, cli
+from biquot import certify, cli, embeddings
 
 
 def run(capsys, argv):
@@ -252,8 +252,6 @@ def test_selftest_passes_and_is_reproducible(capsys):
 
 
 def test_selftest_detects_injected_sign_flip(capsys, monkeypatch):
-    import biquot.embeddings as embeddings
-
     true_phi3 = embeddings.phi3_alg
 
     # negating the whole off-diagonal block would just conjugate the image,
@@ -269,3 +267,34 @@ def test_selftest_detects_injected_sign_flip(capsys, monkeypatch):
     assert code == 1
     assert "FAIL phi3-homomorphism" in out
     assert "FAILED: phi3-homomorphism" in out
+
+
+def test_selftest_fails_a_nan_defect(capsys, monkeypatch):
+    closed_form = embeddings.adp_h1_closed_form
+    monkeypatch.setattr("biquot.embeddings.adp_h1_closed_form",
+                        lambda pt, t: np.full_like(closed_form(pt, t), np.nan))
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    assert "FAIL display-reproduction: max entrywise defect nan" in out
+
+
+def test_selftest_reports_every_failed_suite(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SELFTEST_SUITES", (
+        lambda: ("first", False, "injected"),
+        lambda: ("second", True, "fine"),
+        lambda: ("third", False, "injected"),
+    ))
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    assert out.splitlines() == ["FAIL first: injected", "PASS second: fine",
+                                "FAIL third: injected", "FAILED: first, third"]
+
+
+def test_selftest_suites_run_in_the_benchmark_order(capsys):
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    expected = json.loads(reference.read_text())["selftest"]["suites"]
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 0
+    names = [line.split(": ", 1)[0].removeprefix("PASS ")
+             for line in out.splitlines() if line.startswith("PASS ")]
+    assert names == expected

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _oracles import scalar_bracket, scalar_g0
+from _oracles import mat_from_quaternions, scalar_bracket, scalar_g0
 
 from biquot import embeddings, liealg
 from biquot.quat import MUL_TABLE, Quaternion
@@ -12,7 +12,7 @@ ZERO = Quaternion()
 
 
 def diag(*entries):
-    return liealg.mat_from_quaternions([
+    return mat_from_quaternions([
         [entries[0], ZERO, ZERO],
         [ZERO, entries[1], ZERO],
         [ZERO, ZERO, entries[2]],

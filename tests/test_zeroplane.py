@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from _oracles import scalar_lemma_equations
+from _oracles import mat_from_quaternions, scalar_lemma_equations
 
-from biquot import certify, embeddings, liealg, zeroplane
+from biquot import certify, checks, embeddings, liealg, zeroplane
 from biquot.embeddings import ThetaPoint
 from biquot.quat import ImQuaternion, Quaternion
 
@@ -52,8 +52,8 @@ def test_conditionA_vanishes_on_horizontal_projection():
 def test_conditionB_commuting_diagonals():
     from biquot.quat import Quaternion
     i = Quaternion(0, 1, 0, 0)
-    x = liealg.mat_from_quaternions([[i, 0, 0], [0, i * 2.0, 0], [0, 0, i * 3.0]])
-    y = liealg.mat_from_quaternions([[i * -1.0, 0, 0], [0, i, 0], [0, 0, i * 0.5]])
+    x = mat_from_quaternions([[i, 0, 0], [0, i * 2.0, 0], [0, 0, i * 3.0]])
+    y = mat_from_quaternions([[i * -1.0, 0, 0], [0, i, 0], [0, 0, i * 0.5]])
     assert zeroplane.conditionB_residual(x, y) <= 1e-14
 
 
@@ -159,16 +159,8 @@ def test_vw_vanishes_when_x1_equals_x4_and_x2_zero():
 
 def test_vw_matches_transported_projection():
     rng = np.random.default_rng(41)
-    for _ in range(20):
-        pt = embeddings.point_p(rng.uniform(0.02, np.pi / 4.0 - 0.02))
-        rp = zeroplane.random_reduced_pair(rng)
-        x, y = rp.to_matrices()
-        v, w = zeroplane.vw_vectors(rp, pt)
-        pinv = liealg.group_inverse(pt.matrix)
-        brute_v = liealg.split_kp(liealg.adjoint(pinv, x)).p_part
-        brute_w = liealg.split_kp(liealg.adjoint(pinv, y)).p_part
-        assert np.max(np.abs(brute_v - v.to_matrix())) <= 1e-10
-        assert np.max(np.abs(brute_w - w.to_matrix())) <= 1e-10
+    defects = checks.vw_convention(rng, angles=20, margin=0.02)
+    assert defects["plus-sin"] <= 1e-10
 
 
 def test_theta_range_guard():
@@ -221,10 +213,7 @@ def test_random_pairs_fail_both_residual_paths():
 def test_equivalence_holds_at_wider_angle():
     rng = np.random.default_rng(45)
     pt = embeddings.point_p(0.6)
-    pairs = [zeroplane.random_reduced_pair(rng) for _ in range(100)]
-    pairs += [zeroplane.x_side_solution(rng, pt) for _ in range(5)]
-    pairs += [zeroplane.y_side_solution(rng, pt) for _ in range(5)]
-    for rp in pairs:
+    for rp in checks.mixed_pairs(rng, pt, random=100, sides=5, mixed=0):
         res = zeroplane.lemma_equations_residual(rp, pt)
         assert (res.max_abc <= 1e-9) == (res.max_eq <= 1e-9)
 
@@ -255,25 +244,12 @@ def test_horizontal_basis_properties():
     assert np.max(np.abs(zeroplane.condition_basis(PT) @ basis)) <= 1e-12
 
 
-def _mixed_stack(rng, pt):
-    pairs = [zeroplane.random_reduced_pair(rng) for _ in range(50)]
-    pairs += [zeroplane.x_side_solution(rng, pt) for _ in range(10)]
-    pairs += [zeroplane.y_side_solution(rng, pt) for _ in range(10)]
-    for _ in range(5):
-        xs = zeroplane.x_side_solution(rng, pt)
-        ys = zeroplane.y_side_solution(rng, pt)
-        pairs.append(zeroplane.ReducedPair(
-            x1=xs.x1, x2=xs.x2, x3=xs.x3, x4=xs.x4, y1=ys.y1, y2=ys.y2, y3=ys.y3))
-    pairs.append(zeroplane.ReducedPair.zero())
-    return pairs
-
-
 def test_batched_equations_match_scalar_oracle_and_per_pair_conditions():
     rng = np.random.default_rng(46)
     checked = 0
     for theta in (np.pi / 24.0, np.pi / 12.0, np.pi / 8.0):
         pt = embeddings.point_p(theta)
-        pairs = _mixed_stack(rng, pt)
+        pairs = checks.mixed_pairs(rng, pt, random=50, sides=10, mixed=5)
         stack = np.stack([rp.array for rp in pairs])
         abc, eq = zeroplane.lemma_equations_residuals(stack, pt)
         assert abc.shape == (len(pairs), 3) and eq.shape == (len(pairs), 13)
