@@ -21,7 +21,6 @@ from .certify import (
     sign_certificate,
 )
 from .embeddings import (
-    BasisTriple,
     ThetaPoint,
     adp_h1_basis,
     h1_basis,
@@ -32,18 +31,14 @@ from .embeddings import (
 )
 from .liealg import (
     KPDecomposition,
-    PVector,
     adjoint,
     bracket,
-    dependence_residual,
     g0_inner,
     split_kp,
     sp2_project,
 )
-from .quat import ImQuaternion, Quaternion
 from .zeroplane import (
     ConditionResiduals,
-    ReducedPair,
     conditionA_residual,
     conditionB_residual,
     conditionC_residual,

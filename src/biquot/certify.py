@@ -40,6 +40,7 @@ orthonormal 2-frames is a closed-form Gram-Schmidt step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ from numpy.linalg import _umath_linalg
 from . import liealg
 from .embeddings import ThetaPoint, point_p, rho_rank
 from .liealg import unvec_sp3
-from .zeroplane import ReducedPair, horizontal_basis
+from .zeroplane import horizontal_basis
 
 __all__ = [
     "Certificate",
@@ -179,15 +180,15 @@ def reference_match(theta: float, solution: KernelSolution) -> float:
     return float(abs(solution.coords @ reference) / denom)
 
 
-def reduced_pair_from_axis(coords: np.ndarray, ell: str):
-    """Reduced pair whose seven coordinates all sit on the imaginary axis ell."""
+def reduced_pair_from_axis(coords: np.ndarray, ell: str) -> np.ndarray:
+    """Reduced pair (7, 4) whose seven coordinates all sit on the imaginary axis ell."""
     _epsilon(ell)
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (7,):
         raise ValueError(f"expected 7 axis coordinates, got shape {coords.shape}")
     pair = np.zeros((7, 4))
     pair[:, {"j": 2, "k": 3}[ell]] = coords
-    return ReducedPair.from_array(pair)
+    return pair
 
 
 def sign_certificate(theta: float) -> bool:
@@ -727,16 +728,26 @@ def _search_rows(thetas, starts: int, iterations: int, seeds) -> list[SearchRepo
     return reports
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int, accepting exactly what `operator.index` accepts."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _search_sizes(starts, iterations, seeds) -> tuple[int, int, list[int]]:
+    starts = _integer("starts", starts)
+    iterations = _integer("iterations", iterations)
+    seeds = [_integer("seed", seed) for seed in seeds]
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations!r}")
-    seeds = [int(seed) for seed in seeds]
     for seed in seeds:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed!r}")
-    return int(starts), int(iterations), seeds
+    return starts, iterations, seeds
 
 
 def search_zero_planes(thetas, starts: int, iterations: int, seeds) -> list[SearchReport]:
@@ -789,7 +800,7 @@ def berger_complement_basis() -> np.ndarray:
     from .embeddings import h2_basis
 
     sp2_coords = [0, 1, 2, 3, 4, 5, 9, 10, 11, 12]
-    h2_rows = liealg.vec_sp3(h2_basis().stack())[:, sp2_coords]
+    h2_rows = liealg.vec_sp3(h2_basis())[:, sp2_coords]
     complement = liealg.null_space(h2_rows)
     out = np.zeros((21, complement.shape[1]))
     out[sp2_coords, :] = complement
@@ -804,12 +815,22 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
     refined by the same Newton search the plane search uses, for at most
     `refine_iterations` iterations each.  A strictly positive floor
     certifies that commuting pairs in the subspace are dependent.
+    `subspace` holds the coordinates (21, d) of an orthonormal basis, d >= 2.
     """
+    subspace = np.asarray(subspace, dtype=float)
+    if subspace.ndim != 2 or subspace.shape[0] != 21 or subspace.shape[1] < 2:
+        raise ValueError("subspace must be a 2-D array with 21 rows and at least "
+                         f"2 columns, got shape {subspace.shape}")
+    if not np.all(np.isfinite(subspace)):
+        raise ValueError("subspace entries must be finite")
+    seed = _integer("seed", seed)
+    samples = _integer("samples", samples)
+    refine_starts = _integer("refine_starts", refine_starts)
+    refine_iterations = _integer("refine_iterations", refine_iterations)
     for name, size, least in (("samples", samples, 1), ("refine_starts", refine_starts, 1),
                               ("refine_iterations", refine_iterations, 0)):
         if size < least:
             raise ValueError(f"{name} must be at least {least}, got {size!r}")
-    subspace = np.asarray(subspace, dtype=float)
     dim = subspace.shape[1]
     objective = _WedgeObjective([_compress(_wedge_terms(subspace, _STRUCTURE))])
     rng = np.random.default_rng(seed)
@@ -818,7 +839,7 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
     best_value = math.inf
     pool_frames: list[np.ndarray] = []
     pool_values: list[np.ndarray] = []
-    remaining = int(samples)
+    remaining = samples
     while remaining > 0:
         count = min(chunk, remaining)
         remaining -= count

@@ -10,8 +10,6 @@ modules, so a function patched on its module is the one checked.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import certify, embeddings, liealg, zeroplane
@@ -32,9 +30,9 @@ def quaternion_algebra(rng: np.random.Generator, pairs: int) -> float:
         defects += [abs(resolved.re - a.norm_sq()) / a.norm_sq(),
                     abs(resolved.ci), abs(resolved.cj), abs(resolved.ck)]
         defects.append(abs((a * b).re - (b * a).re))
-        ia, ib = a.imag().quaternion, b.imag().quaternion
-        comm = (ia * ib - ib * ia).imag().array
-        defects.append(np.max(np.abs(comm - 2.0 * np.cross(a.imag().array, b.imag().array))))
+        ia, ib = Quaternion(0.0, a.ci, a.cj, a.ck), Quaternion(0.0, b.ci, b.cj, b.ck)
+        comm = (ia * ib - ib * ia).array[1:]
+        defects.append(np.max(np.abs(comm - 2.0 * np.cross(a.array[1:], b.array[1:]))))
     return float(np.max(defects))
 
 
@@ -75,7 +73,7 @@ def display_reproduction(rng: np.random.Generator, angles: int) -> tuple[float, 
     defects, ranks = [], []
     for _ in range(angles):
         pt = embeddings.point_p(rng.uniform(0.01, np.pi / 2.0 - 0.01))
-        computed = embeddings.adp_h1_basis(pt).stack()
+        computed = embeddings.adp_h1_basis(pt)
         closed = np.stack([embeddings.adp_h1_closed_form(pt, unit) for unit in np.eye(3)])
         defects.append(np.max(np.abs(computed - closed)))
         ranks.append(embeddings.rho_rank(pt))
@@ -88,32 +86,32 @@ def vw_convention(rng: np.random.Generator, angles: int, margin: float) -> dict[
     defects = {"plus-sin": [], "transpose": []}
     for _ in range(angles):
         pt = embeddings.point_p(rng.uniform(margin, np.pi / 4.0 - margin))
-        rp = zeroplane.random_reduced_pair(rng)
-        x, y = rp.to_matrices()
-        v, w = zeroplane.vw_vectors(rp, pt)
+        pair = zeroplane.random_reduced_pair(rng)
+        x, y = zeroplane.pair_matrices(pair)
+        v, w = zeroplane.vw_vectors(pair, pt)
         for name, p in (("plus-sin", pt.matrix),
                         ("transpose", liealg.conj_transpose(pt.matrix))):
             pinv = liealg.group_inverse(p)
             got_v = liealg.split_kp(liealg.adjoint(pinv, x)).p_part
             got_w = liealg.split_kp(liealg.adjoint(pinv, y)).p_part
-            defects[name] += [np.max(np.abs(got_v - v.to_matrix())),
-                              np.max(np.abs(got_w - w.to_matrix()))]
+            defects[name] += [np.max(np.abs(got_v - v)), np.max(np.abs(got_w - w))]
     return {name: float(np.max(found)) for name, found in defects.items()}
 
 
 def mixed_pairs(rng: np.random.Generator, pt, random: int, sides: int,
-                mixed: int) -> list[zeroplane.ReducedPair]:
-    """Random pairs, exact x-side and then y-side solutions at `pt`, pairs
-    joining the two sides' halves, and the zero pair, drawn in that order."""
+                mixed: int) -> np.ndarray:
+    """Pair stack (n, 7, 4) of random pairs, exact x-side and then y-side
+    solutions at `pt`, pairs joining the two sides' halves, and the zero
+    pair, drawn in that order."""
     pairs = [zeroplane.random_reduced_pair(rng) for _ in range(random)]
     pairs += [zeroplane.x_side_solution(rng, pt) for _ in range(sides)]
     pairs += [zeroplane.y_side_solution(rng, pt) for _ in range(sides)]
     for _ in range(mixed):
         xs = zeroplane.x_side_solution(rng, pt)
         ys = zeroplane.y_side_solution(rng, pt)
-        pairs.append(dataclasses.replace(xs, y1=ys.y1, y2=ys.y2, y3=ys.y3))
-    pairs.append(zeroplane.ReducedPair.zero())
-    return pairs
+        pairs.append(np.concatenate([xs[:4], ys[4:]]))
+    pairs.append(np.zeros((7, 4)))
+    return np.stack(pairs)
 
 
 def equation_equivalence(rng: np.random.Generator, random: int, sides: int,
@@ -123,9 +121,8 @@ def equation_equivalence(rng: np.random.Generator, random: int, sides: int,
     abc, eq = [], []
     for theta in (np.pi / 24.0, np.pi / 12.0, np.pi / 8.0):
         pt = embeddings.point_p(theta)
-        pairs = mixed_pairs(rng, pt, random, sides, mixed)
         conditions, equations = zeroplane.lemma_equations_residuals(
-            np.stack([rp.array for rp in pairs]), pt)
+            mixed_pairs(rng, pt, random, sides, mixed), pt)
         abc.append(conditions.max(axis=-1))
         eq.append(equations.max(axis=-1))
     return np.concatenate(abc), np.concatenate(eq)
@@ -138,12 +135,12 @@ def linear_family_map(rng: np.random.Generator, fit: int,
     pt = embeddings.point_p(np.pi / 12.0)
     basis = zeroplane.condition_basis(pt)
 
-    def forms(rp):
-        x, y = rp.to_matrices()
+    def forms(pair):
+        x, y = zeroplane.pair_matrices(pair)
         px = liealg.vec_sp3(x) @ basis.T
         py = liealg.vec_sp3(y) @ basis.T
         pairings = np.concatenate([px[3:6], px[0:3], py[0:3]])
-        return pairings, zeroplane.family_forms(rp.array, pt)
+        return pairings, zeroplane.family_forms(pair, pt)
 
     fitted = [forms(zeroplane.random_reduced_pair(rng)) for _ in range(fit)]
     u = np.stack([f[0] for f in fitted])
@@ -254,8 +251,8 @@ def _suite_kernel_line_obstruction():
     for ell in ("j", "k"):
         coords = certify.kernel_reference(theta, certify.EPSILON_BY_ELL[ell])
         system = float(np.max(np.abs(certify.build_linear_system(theta, ell) @ coords)))
-        rp = certify.reduced_pair_from_axis(coords, ell)
-        eq_res = zeroplane.lemma_equations_residual(rp, pt).eq_res
+        pair = certify.reduced_pair_from_axis(coords, ell)
+        eq_res = zeroplane.lemma_equations_residual(pair, pt).eq_res
         ok = ok and system <= 1e-9 and eq_res["1"] > 0.1
         details.append(f"ell={ell}: system residual {system:.3e}, "
                        f"eq (1) obstruction {eq_res['1']:.6e}, "

@@ -11,6 +11,9 @@ which is a Lie-algebra homomorphism into the 2x2 skew-Hermitian matrices.
 (3,3) slot; `h2_elem` uses a zero corner instead.  `point_p(theta)` is the
 rotation by theta in the (1,3) coordinate plane, with +sin(theta) in the
 (1,3) entry; `adp_h1_basis` conjugates the h1 generators by it.
+
+A generator triple is one float array of shape (3, 3, 3, 4): the images of
+the imaginary units i, j, k, in that order, each a 3x3 quaternionic matrix.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg
-from .quat import ImQuaternion
 
 __all__ = [
-    "BasisTriple",
     "ThetaPoint",
     "adp_h1_basis",
     "adp_h1_closed_form",
@@ -42,14 +43,8 @@ __all__ = [
 RANK_SV_TOL = 1e-9
 POINT_UNITARY_TOL = 1e-12
 
-_UNIT_I = ImQuaternion(1.0, 0.0, 0.0)
-_UNIT_J = ImQuaternion(0.0, 1.0, 0.0)
-_UNIT_K = ImQuaternion(0.0, 0.0, 1.0)
-
 
 def _im_components(t) -> np.ndarray:
-    if isinstance(t, ImQuaternion):
-        return t.array
     t = np.asarray(t, dtype=float)
     if t.shape[-1] != 3:
         raise ValueError(f"expected trailing length 3 of (i, j, k) components, got {t.shape}")
@@ -59,8 +54,8 @@ def _im_components(t) -> np.ndarray:
 def phi3_alg(t) -> np.ndarray:
     """Irreducible image of an imaginary quaternion in the 2x2 algebra.
 
-    Accepts an ImQuaternion or an (..., 3) array of (i, j, k) components and
-    broadcasts; the result has trailing shape (2, 2, 4).
+    Accepts an (..., 3) array of (i, j, k) components and broadcasts; the
+    result has trailing shape (2, 2, 4).
     """
     c = _im_components(t)
     ti, tj, tk = c[..., 0], c[..., 1], c[..., 2]
@@ -93,38 +88,21 @@ def h2_elem(t) -> np.ndarray:
     return _embed_block(phi3_alg(c), np.zeros_like(c))
 
 
-@dataclass(frozen=True)
-class BasisTriple:
-    """Images of the three imaginary units under a linear generator map."""
-
-    at_i: np.ndarray
-    at_j: np.ndarray
-    at_k: np.ndarray
-
-    def stack(self) -> np.ndarray:
-        return np.stack([self.at_i, self.at_j, self.at_k])
-
-    def smallest_singular_value(self) -> float:
-        coords = liealg.vec_sp3(self.stack())
-        return float(np.linalg.svd(coords, compute_uv=False)[-1])
-
-
-def _constant_triple(elem) -> BasisTriple:
-    images = [elem(unit) for unit in (_UNIT_I, _UNIT_J, _UNIT_K)]
-    for image in images:
-        image.setflags(write=False)
-    return BasisTriple(*images)
+def _constant_triple(elem) -> np.ndarray:
+    triple = elem(np.eye(3))
+    triple.setflags(write=False)
+    return triple
 
 
 @functools.cache
-def h1_basis() -> BasisTriple:
-    """The h1 generators, built once; the arrays are read-only."""
+def h1_basis() -> np.ndarray:
+    """The h1 generator triple (3, 3, 3, 4), built once; the array is read-only."""
     return _constant_triple(h1_elem)
 
 
 @functools.cache
-def h2_basis() -> BasisTriple:
-    """The h2 generators, built once; the arrays are read-only."""
+def h2_basis() -> np.ndarray:
+    """The h2 generator triple (3, 3, 3, 4), built once; the array is read-only."""
     return _constant_triple(h2_elem)
 
 
@@ -164,10 +142,10 @@ def point_p(theta: float) -> ThetaPoint:
     return ThetaPoint(theta=theta, matrix=matrix)
 
 
-def adp_h1_basis(pt: ThetaPoint) -> BasisTriple:
-    """h1 generators conjugated by p(theta), computed as matrix products."""
-    conj = liealg.adjoint(pt.matrix, h1_basis().stack())
-    return BasisTriple(conj[0], conj[1], conj[2])
+def adp_h1_basis(pt: ThetaPoint) -> np.ndarray:
+    """h1 generator triple (3, 3, 3, 4) conjugated by p(theta), computed as
+    matrix products."""
+    return liealg.adjoint(pt.matrix, h1_basis())
 
 
 def adp_h1_closed_form(pt: ThetaPoint, t) -> np.ndarray:
@@ -200,7 +178,6 @@ def rho(a: np.ndarray) -> np.ndarray:
 
 def rho_rank(pt: ThetaPoint) -> int:
     """Rank of t -> rho(Ad_p h1(t)) as a real-linear map into R^3."""
-    basis = adp_h1_basis(pt)
-    columns = np.stack([rho(basis.at_i)[1:], rho(basis.at_j)[1:], rho(basis.at_k)[1:]], axis=1)
+    columns = rho(adp_h1_basis(pt))[:, 1:].T
     svals = np.linalg.svd(columns, compute_uv=False)
     return int(np.sum(svals > RANK_SV_TOL))

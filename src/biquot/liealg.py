@@ -23,17 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import Quaternion
-
 __all__ = [
     "KPDecomposition",
-    "PVector",
     "SKEW_HERMITIAN_TOL",
     "UNITARY_TOL",
     "adjoint",
     "bracket",
     "conj_transpose",
-    "dependence_residual",
     "g0_inner",
     "g0_norm",
     "gram_residual",
@@ -209,33 +205,6 @@ def random_sp3(rng: np.random.Generator, size=None, normalized: bool = False) ->
     return unvec_sp3(coords)
 
 
-@dataclass(frozen=True)
-class PVector:
-    """Element of the p summand written as a pair (z1, z2) of quaternions."""
-
-    z1: Quaternion
-    z2: Quaternion
-
-    @classmethod
-    def from_matrix(cls, a: np.ndarray, tol: float = SKEW_HERMITIAN_TOL) -> "PVector":
-        a = np.asarray(a, dtype=float)
-        v = cls(Quaternion.from_array(a[0, 2]), Quaternion.from_array(a[1, 2]))
-        if np.max(np.abs(a - v.to_matrix())) > tol:
-            raise ValueError("matrix does not lie in the p summand")
-        return v
-
-    def to_matrix(self) -> np.ndarray:
-        out = np.zeros((3, 3, 4))
-        out[0, 2] = self.z1.array
-        out[1, 2] = self.z2.array
-        out[2, 0] = -self.z1.conj().array
-        out[2, 1] = -self.z2.conj().array
-        return out
-
-    def to_r8(self) -> np.ndarray:
-        return np.concatenate([self.z1.array, self.z2.array])
-
-
 def gram_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram determinant |a|^2 |b|^2 - <a, b>^2 of real vectors (batched)."""
     a = np.asarray(a, dtype=float)
@@ -257,16 +226,6 @@ def normalized_gram_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))[..., None]
     scale = np.where(scale == 0.0, 1.0, scale)
     return gram_residual(a / scale, b / scale)
-
-
-def dependence_residual(v: PVector, w: PVector, normalized: bool = False) -> float:
-    """Gram residual of {v, w} in R^8; zero exactly on real-dependent pairs.
-
-    With `normalized` it is `normalized_gram_residual`, scale-free and with a
-    pair of one negligible member counted as dependent.
-    """
-    residual = normalized_gram_residual if normalized else gram_residual
-    return float(residual(v.to_r8(), w.to_r8()))
 
 
 def null_space(a: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Quaternion scalars and small component-array helpers.
+"""Quaternion component arrays: the product table and its broadcasting helpers.
 
 Quaternions are stored as (re, i, j, k) component vectors and that order is
-fixed everywhere, including serialized output.  The array helpers broadcast
-over leading axes so the matrix layer can run batched.
+fixed everywhere, including serialized output.  `qmul`, `qconj` and
+`qnorm_sq` broadcast over leading axes so the matrix layer can run batched.
+The scalar `Quaternion` is kept for the `quaternion-algebra` property check
+and as the tests' independent oracle; the library itself works on arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "MUL_TABLE",
-    "ImQuaternion",
     "Quaternion",
     "qconj",
     "qmul",
@@ -73,9 +74,6 @@ class Quaternion:
     def __abs__(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def imag(self) -> "ImQuaternion":
-        return ImQuaternion(self.ci, self.cj, self.ck)
-
     def __add__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
@@ -109,62 +107,6 @@ class Quaternion:
         if isinstance(other, (int, float)):
             return self * other
         return NotImplemented
-
-
-@dataclass(frozen=True)
-class ImQuaternion:
-    """Purely imaginary quaternion ci*i + cj*j + ck*k."""
-
-    ci: float = 0.0
-    cj: float = 0.0
-    ck: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("ci", "cj", "ck"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"imaginary component {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_array(cls, a) -> "ImQuaternion":
-        ci, cj, ck = np.asarray(a, dtype=float)
-        return cls(ci, cj, ck)
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.ci, self.cj, self.ck])
-
-    @property
-    def quaternion(self) -> Quaternion:
-        return Quaternion(0.0, self.ci, self.cj, self.ck)
-
-    def norm_sq(self) -> float:
-        return self.ci * self.ci + self.cj * self.cj + self.ck * self.ck
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def __add__(self, other: "ImQuaternion") -> "ImQuaternion":
-        if not isinstance(other, ImQuaternion):
-            return NotImplemented
-        return ImQuaternion(self.ci + other.ci, self.cj + other.cj, self.ck + other.ck)
-
-    def __sub__(self, other: "ImQuaternion") -> "ImQuaternion":
-        if not isinstance(other, ImQuaternion):
-            return NotImplemented
-        return ImQuaternion(self.ci - other.ci, self.cj - other.cj, self.ck - other.ck)
-
-    def __neg__(self) -> "ImQuaternion":
-        return ImQuaternion(-self.ci, -self.cj, -self.ck)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            k = float(other)
-            return ImQuaternion(self.ci * k, self.cj * k, self.ck * k)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

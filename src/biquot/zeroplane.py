@@ -32,10 +32,11 @@ X, family (7) is condition (A) on Y, (1)-(3) encode (B), and (4) encodes (C)
 through the transported projections v = (Ad_{p^{-1}} X)_p and
 w = (Ad_{p^{-1}} Y)_p.
 
-A stack of reduced pairs is a float array of shape (..., 7, 4): quaternion
-components of (x1, x2, x3, x4, y1, y2, y3), with zero real parts in the
-imaginary slots x1, x3, x4, y3.  Every equation and residual here is
-evaluated on such stacks; `ReducedPair` is the one-pair view of a row.
+A reduced pair is a float array of shape (7, 4): quaternion components of
+(x1, x2, x3, x4, y1, y2, y3), with zero real parts in the imaginary slots
+x1, x3, x4, y3.  Every equation and residual here is evaluated on stacks
+(..., 7, 4) of them; `pair_matrices` rebuilds X and Y, and `vw_vectors`
+returns v and w as p-summand matrices (..., 3, 3, 4).
 """
 
 from __future__ import annotations
@@ -47,14 +48,12 @@ import numpy as np
 
 from . import embeddings, liealg
 from .embeddings import ThetaPoint
-from .liealg import PVector
-from .quat import ImQuaternion, Quaternion, qconj, qmul, qnorm_sq
+from .quat import qconj, qmul, qnorm_sq
 
 __all__ = [
     "EQUATION_LABELS",
     "ConditionResiduals",
     "NormalFormError",
-    "ReducedPair",
     "conditionA_residual",
     "conditionB_residual",
     "conditionC_residual",
@@ -64,6 +63,7 @@ __all__ = [
     "lemma_equations_residual",
     "lemma_equations_residuals",
     "normal_form_reduce",
+    "pair_matrices",
     "random_reduced_pair",
     "vw_vectors",
     "x_side_solution",
@@ -83,45 +83,6 @@ class NormalFormError(ValueError):
     """Raised when a pair cannot be brought to normal form."""
 
 
-@dataclass(frozen=True)
-class ReducedPair:
-    """Normal-form coordinates of a candidate plane; `array` is its row in a
-    pair stack."""
-
-    x1: ImQuaternion
-    x2: Quaternion
-    x3: ImQuaternion
-    x4: ImQuaternion
-    y1: Quaternion
-    y2: Quaternion
-    y3: ImQuaternion
-
-    @classmethod
-    def zero(cls) -> "ReducedPair":
-        im, q = ImQuaternion(), Quaternion()
-        return cls(im, q, im, im, q, q, im)
-
-    @classmethod
-    def from_array(cls, a) -> "ReducedPair":
-        if np.shape(a) != (7, 4):
-            raise ValueError(f"expected one pair of shape (7, 4), got {np.shape(a)}")
-        x1, x2, x3, x4, y1, y2, y3 = _pair_slots(a)
-        return cls(ImQuaternion.from_array(x1[1:]), Quaternion.from_array(x2),
-                   ImQuaternion.from_array(x3[1:]), ImQuaternion.from_array(x4[1:]),
-                   Quaternion.from_array(y1), Quaternion.from_array(y2),
-                   ImQuaternion.from_array(y3[1:]))
-
-    @property
-    def array(self) -> np.ndarray:
-        """The pair as one (7, 4) row of a pair stack."""
-        return np.array([(getattr(q, "re", 0.0), q.ci, q.cj, q.ck) for q in (
-            self.x1, self.x2, self.x3, self.x4, self.y1, self.y2, self.y3)])
-
-    def to_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reconstruct (X, Y) in the block shapes fixed by the normal form."""
-        return _pair_matrices(_pair_slots(self.array))
-
-
 def _pair_slots(pairs) -> tuple[np.ndarray, ...]:
     """The seven (..., 4) slots of a validated pair stack (..., 7, 4)."""
     pairs = np.asarray(pairs, dtype=float)
@@ -134,21 +95,28 @@ def _pair_slots(pairs) -> tuple[np.ndarray, ...]:
     return tuple(np.moveaxis(pairs, -2, 0))
 
 
-def _pair_matrices(slots) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y (..., 3, 3, 4) in the block shapes fixed by the normal form."""
-    x1, x2, x3, x4, y1, y2, y3 = slots
-    x = np.zeros(x1.shape[:-1] + (3, 3, 4))
-    y = np.zeros_like(x)
+def _p_summand(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The p-summand matrix (..., 3, 3, 4) with third-column entries z1, z2."""
+    out = np.zeros(z1.shape[:-1] + (3, 3, 4))
+    out[..., 0, 2, :] = z1
+    out[..., 1, 2, :] = z2
+    out[..., 2, 0, :] = -qconj(z1)
+    out[..., 2, 1, :] = -qconj(z2)
+    return out
+
+
+def pair_matrices(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y (..., 3, 3, 4) of a pair stack (..., 7, 4), in the block shapes
+    fixed by the normal form."""
+    x1, x2, x3, x4, y1, y2, y3 = _pair_slots(pairs)
+    y = _p_summand(y1, y2)
+    y[..., 2, 2, :] = y3
+    x = np.zeros_like(y)
     x[..., 0, 0, :] = x1
     x[..., 0, 1, :] = x2
     x[..., 1, 0, :] = -qconj(x2)
     x[..., 1, 1, :] = x3
     x[..., 2, 2, :] = x4
-    y[..., 0, 2, :] = y1
-    y[..., 1, 2, :] = y2
-    y[..., 2, 0, :] = -qconj(y1)
-    y[..., 2, 1, :] = -qconj(y2)
-    y[..., 2, 2, :] = y3
     return x, y
 
 
@@ -172,10 +140,7 @@ class ConditionResiduals:
 
 def condition_basis(pt: ThetaPoint) -> np.ndarray:
     """Coordinates (6, 21) of the conjugated h1 triple stacked over the h2 triple."""
-    rows = np.concatenate([
-        embeddings.adp_h1_basis(pt).stack(),
-        embeddings.h2_basis().stack(),
-    ])
+    rows = np.concatenate([embeddings.adp_h1_basis(pt), embeddings.h2_basis()])
     return liealg.vec_sp3(rows)
 
 
@@ -214,9 +179,9 @@ def conditionC_residual(x: np.ndarray, y: np.ndarray, pt: ThetaPoint) -> np.ndar
 
 
 def normal_form_reduce(x: np.ndarray, y: np.ndarray, pt: ThetaPoint,
-                       tol: float = DEPENDENCE_TOL) -> ReducedPair:
+                       tol: float = DEPENDENCE_TOL) -> np.ndarray:
     """Replace span{X, Y} by a normal-form pair (X' block-diagonal, Y'
-    supported on the third row/column).
+    supported on the third row/column), returned as a reduced pair (7, 4).
 
     Requires the p parts and then the sp(2) parts to be real-dependent, which
     is what conditions (A) and (B) guarantee for candidate planes; each
@@ -264,15 +229,10 @@ def normal_form_reduce(x: np.ndarray, y: np.ndarray, pt: ThetaPoint,
         raise NormalFormError(
             "sp(2) parts are linearly independent; the commutation condition fails")
 
-    return ReducedPair(
-        x1=ImQuaternion.from_array(first[0, 0, 1:]),
-        x2=Quaternion.from_array(first[0, 1]),
-        x3=ImQuaternion.from_array(first[1, 1, 1:]),
-        x4=ImQuaternion.from_array(first[2, 2, 1:]),
-        y1=Quaternion.from_array(reduced_y[0, 2]),
-        y2=Quaternion.from_array(reduced_y[1, 2]),
-        y3=ImQuaternion.from_array(reduced_y[2, 2, 1:]),
-    )
+    pair = np.stack([first[0, 0], first[0, 1], first[1, 1], first[2, 2],
+                     reduced_y[0, 2], reduced_y[1, 2], reduced_y[2, 2]])
+    pair[_IMAGINARY_SLOTS, 0] = 0.0
+    return pair
 
 
 def _require_reduced_range(pt: ThetaPoint) -> tuple[float, float]:
@@ -290,11 +250,12 @@ def _vw(slots, c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-def vw_vectors(rp: ReducedPair, pt: ThetaPoint) -> tuple[PVector, PVector]:
-    """Closed forms of the transported p projections of the reduced pair."""
+def vw_vectors(pairs, pt: ThetaPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Closed forms of the transported p projections v and w of a pair stack
+    (..., 7, 4), as p-summand matrices (..., 3, 3, 4)."""
     c, s = _require_reduced_range(pt)
-    return tuple(PVector(z1=Quaternion.from_array(r8[:4]), z2=Quaternion.from_array(r8[4:]))
-                 for r8 in _vw(_pair_slots(rp.array), c, s))
+    return tuple(_p_summand(r8[..., :4], r8[..., 4:])
+                 for r8 in _vw(_pair_slots(pairs), c, s))
 
 
 def _family_forms(slots, c: float, s: float) -> np.ndarray:
@@ -340,7 +301,7 @@ def lemma_equations_residuals(pairs, pt: ThetaPoint) -> tuple[np.ndarray, np.nda
         liealg.normalized_gram_residual(v, w),
     ], axis=-1), np.abs(_family_forms(slots, c, s))], axis=-1)
 
-    x, y = _pair_matrices(slots)
+    x, y = pair_matrices(pairs)
     abc = np.stack([
         conditionA_residual(x, y, pt),
         conditionB_residual(x, y),
@@ -349,9 +310,12 @@ def lemma_equations_residuals(pairs, pt: ThetaPoint) -> tuple[np.ndarray, np.nda
     return abc, eq
 
 
-def lemma_equations_residual(rp: ReducedPair, pt: ThetaPoint) -> ConditionResiduals:
-    """`lemma_equations_residuals` of one pair, with the equations keyed by label."""
-    abc, eq = lemma_equations_residuals(rp.array, pt)
+def lemma_equations_residual(pair, pt: ThetaPoint) -> ConditionResiduals:
+    """`lemma_equations_residuals` of one pair (7, 4), with the equations
+    keyed by label."""
+    if np.shape(pair) != (7, 4):
+        raise ValueError(f"expected one pair of shape (7, 4), got {np.shape(pair)}")
+    abc, eq = lemma_equations_residuals(pair, pt)
     a_res, b_res, c_res = (float(r) for r in abc)
     return ConditionResiduals(a_res=a_res, b_res=b_res, c_res=c_res,
                               eq_res=dict(zip(EQUATION_LABELS, (float(r) for r in eq))))
@@ -362,41 +326,42 @@ def horizontal_basis(pt: ThetaPoint) -> np.ndarray:
     return liealg.null_space(condition_basis(pt))
 
 
-def random_reduced_pair(rng: np.random.Generator, scale: float = 1.0) -> ReducedPair:
-    def im():
-        return ImQuaternion.from_array(scale * rng.standard_normal(3))
-
-    def full():
-        return Quaternion.from_array(scale * rng.standard_normal(4))
-
-    return ReducedPair(x1=im(), x2=full(), x3=im(), x4=im(),
-                       y1=full(), y2=full(), y3=im())
+def _draw(rng: np.random.Generator, pair: np.ndarray, slots) -> np.ndarray:
+    """Fill `slots` of `pair` in order with standard normal draws, one draw
+    per slot: three for an imaginary slot, four for a full one."""
+    for slot in slots:
+        first = 1 if slot in _IMAGINARY_SLOTS else 0
+        pair[slot, first:] = rng.standard_normal(4 - first)
+    return pair
 
 
-def x_side_solution(rng: np.random.Generator, pt: ThetaPoint) -> ReducedPair:
+def random_reduced_pair(rng: np.random.Generator) -> np.ndarray:
+    """Reduced pair (7, 4) with standard normal coordinates, drawn slot by slot."""
+    return _draw(rng, np.zeros((7, 4)), range(7))
+
+
+def x_side_solution(rng: np.random.Generator, pt: ThetaPoint) -> np.ndarray:
     """Reduced pair with zero Y side whose X side solves families (5)/(6) exactly."""
     c, s = math.cos(pt.theta), math.sin(pt.theta)
-    x2 = Quaternion.from_array(rng.standard_normal(4))
-    x4 = ImQuaternion.from_array(rng.standard_normal(3))
-    x1 = ImQuaternion(
-        (1.0 + 2.0 * s * s) * x4.ci / (2.0 * s * s),
-        -(2.0 * _R3 * (c - 1.0) * x2.cj + c * c * x4.cj) / (s * s),
-        -(2.0 * _R3 * (c - 1.0) * x2.ck + c * c * x4.ck) / (s * s),
-    )
-    x3 = ImQuaternion(3.0 * x1.ci, _R3 * x2.cj, -_R3 * x2.ck)
-    return ReducedPair(x1=x1, x2=x2, x3=x3, x4=x4,
-                       y1=Quaternion(), y2=Quaternion(), y3=ImQuaternion())
+    pair = _draw(rng, np.zeros((7, 4)), (1, 3))
+    x2, x4 = pair[1], pair[3]
+    pair[0, 1:] = [
+        (1.0 + 2.0 * s * s) * x4[1] / (2.0 * s * s),
+        -(2.0 * _R3 * (c - 1.0) * x2[2] + c * c * x4[2]) / (s * s),
+        -(2.0 * _R3 * (c - 1.0) * x2[3] + c * c * x4[3]) / (s * s),
+    ]
+    pair[2, 1:] = [3.0 * pair[0, 1], _R3 * x2[2], -_R3 * x2[3]]
+    return pair
 
 
-def y_side_solution(rng: np.random.Generator, pt: ThetaPoint) -> ReducedPair:
+def y_side_solution(rng: np.random.Generator, pt: ThetaPoint) -> np.ndarray:
     """Reduced pair with zero X side whose Y side solves family (7) exactly."""
     c, s = math.cos(pt.theta), math.sin(pt.theta)
-    y1 = Quaternion.from_array(rng.standard_normal(4))
-    y2 = Quaternion.from_array(rng.standard_normal(4))
-    y3 = ImQuaternion(
-        4.0 * s * c * y1.ci / (1.0 + 2.0 * s * s),
-        (2.0 * _R3 * s * y2.cj - 2.0 * s * c * y1.cj) / (c * c),
-        (2.0 * _R3 * s * y2.ck - 2.0 * s * c * y1.ck) / (c * c),
-    )
-    im, q = ImQuaternion(), Quaternion()
-    return ReducedPair(x1=im, x2=q, x3=im, x4=im, y1=y1, y2=y2, y3=y3)
+    pair = _draw(rng, np.zeros((7, 4)), (4, 5))
+    y1, y2 = pair[4], pair[5]
+    pair[6, 1:] = [
+        4.0 * s * c * y1[1] / (1.0 + 2.0 * s * s),
+        (2.0 * _R3 * s * y2[2] - 2.0 * s * c * y1[2]) / (c * c),
+        (2.0 * _R3 * s * y2[3] - 2.0 * s * c * y1[3]) / (c * c),
+    ]
+    return pair

@@ -77,17 +77,16 @@ def _components(q) -> list[float]:
     return [q.re, q.ci, q.cj, q.ck]
 
 
-def scalar_lemma_equations(rp, theta: float) -> list[float]:
-    """The thirteen equation residuals of a reduced pair, in label order,
-    written out with scalar quaternions."""
+def scalar_lemma_equations(pair, theta: float) -> list[float]:
+    """The thirteen equation residuals of a reduced pair (7, 4), in label
+    order, written out with scalar quaternions."""
     c, s = math.cos(theta), math.sin(theta)
     r3 = math.sqrt(3.0)
-    x1, x2, x3, x4 = rp.x1.quaternion, rp.x2, rp.x3.quaternion, rp.x4.quaternion
-    y1, y2, y3 = rp.y1, rp.y2, rp.y3.quaternion
+    x1, x2, x3, x4, y1, y2, y3 = (Quaternion.from_array(pair[slot]) for slot in range(7))
 
     v = _components((x1 - x4) * (c * s)) + _components(x2.conj() * (-s))
     w = _components(Quaternion(y1.re, 0.0, 0.0, 0.0)
-                    + y1.imag().quaternion * (c * c - s * s) - y3 * (s * c))
+                    + Quaternion(0.0, y1.ci, y1.cj, y1.ck) * (c * c - s * s) - y3 * (s * c))
     w += _components(y2 * c)
     return [
         abs(x1 * y1 + x2 * y2 - y1 * x4),

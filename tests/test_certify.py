@@ -365,6 +365,18 @@ def test_search_rejects_bad_starts():
         certify.search_zero_plane(PI12, starts=0)
 
 
+def test_search_rejects_non_integral_sizes():
+    with pytest.raises(ValueError, match="^starts must be an integer, got 2.5"):
+        certify.search_zero_plane(0.3, starts=2.5)
+    with pytest.raises(ValueError, match="^iterations must be an integer, got 3.0"):
+        certify.search_zero_plane(0.3, starts=2, iterations=3.0)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 0.5"):
+        certify.search_zero_planes([0.1, 0.2], 2, 3, [0, 0.5])
+    report = certify.search_zero_plane(0.3, starts=np.int64(2), iterations=np.int32(3),
+                                       seed=np.uint8(1))
+    assert (report.starts, report.iterations) == (2, 3)
+
+
 def test_search_floor_positive_across_window():
     for theta in (0.02, np.pi / 24.0, PI12, np.pi / 6.0 - 0.02):
         report = certify.search_zero_plane(theta, starts=20, iterations=150, seed=7)
@@ -380,11 +392,30 @@ def test_bracket_floor_quick():
     assert 1e-6 <= berger <= 0.4 + 1e-6
 
 
-@pytest.mark.parametrize("name,value", [
-    ("samples", 0), ("refine_starts", 0), ("refine_iterations", -1)])
-def test_bracket_floor_rejects_bad_sizes(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be at least"):
-        certify.bracket_floor(certify.p_subspace_basis(), **{"samples": 10, name: value})
+@pytest.mark.parametrize("name,value,message", [
+    pytest.param("samples", 0, "must be at least", id="samples-0"),
+    pytest.param("refine_starts", 0, "must be at least", id="refine_starts-0"),
+    pytest.param("refine_iterations", -1, "must be at least", id="refine_iterations--1"),
+    pytest.param("subspace", np.eye(21)[:, :1], "must be a 2-D array", id="subspace-1-column"),
+    pytest.param("subspace", np.eye(21)[:, :0], "must be a 2-D array", id="subspace-0-columns"),
+    pytest.param("subspace", np.eye(5), "must be a 2-D array", id="subspace-5-rows"),
+    pytest.param("subspace", np.ones(21), "must be a 2-D array", id="subspace-1-d"),
+    pytest.param("subspace", np.full((21, 8), np.nan), "entries must be finite",
+                 id="subspace-nan"),
+])
+def test_bracket_floor_rejects_bad_sizes(name, value, message):
+    kwargs = {"subspace": certify.p_subspace_basis(), "samples": 10, name: value}
+    with pytest.raises(ValueError, match=f"^{name} {message}"):
+        certify.bracket_floor(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["samples", "seed", "refine_starts", "refine_iterations"])
+def test_bracket_floor_rejects_non_integral_sizes(name):
+    kwargs = {"samples": 10, "refine_starts": 2, "refine_iterations": 3, name: 1.5}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5"):
+        certify.bracket_floor(certify.p_subspace_basis(), **kwargs)
+    kwargs[name] = np.int64(2)
+    assert certify.bracket_floor(certify.p_subspace_basis(), **kwargs) > 0.0
 
 
 def test_subspace_bases():
@@ -395,7 +426,7 @@ def test_subspace_bases():
     assert berger.shape == (21, 7)
     elems = liealg.unvec_sp3(berger.T)
     assert np.max(np.abs(elems - liealg.sp2_project(elems))) == 0.0
-    h2 = embeddings.h2_basis().stack()
+    h2 = embeddings.h2_basis()
     cross = liealg.vec_sp3(h2) @ berger
     assert np.max(np.abs(cross)) <= 1e-12
 
@@ -463,10 +494,10 @@ def test_certify_theta_inconclusive_on_kernel_error(monkeypatch):
 
 def test_reduced_pair_from_axis():
     coords = np.arange(1.0, 8.0)
-    rp = certify.reduced_pair_from_axis(coords, "k")
-    assert rp.x1.array == pytest.approx([0, 0, 1.0])
-    assert rp.y3.array == pytest.approx([0, 0, 7.0])
-    assert rp.x2.array == pytest.approx([0, 0, 0, 2.0])
+    pair = certify.reduced_pair_from_axis(coords, "k")
+    assert pair[0, 1:] == pytest.approx([0, 0, 1.0])
+    assert pair[6, 1:] == pytest.approx([0, 0, 7.0])
+    assert pair[1] == pytest.approx([0, 0, 0, 2.0])
     with pytest.raises(ValueError, match="axis label"):
         certify.reduced_pair_from_axis(coords, "i")
     with pytest.raises(ValueError, match="7 axis"):

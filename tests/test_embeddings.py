@@ -3,7 +3,6 @@ import pytest
 from _oracles import scalar_bracket
 
 from biquot import checks, embeddings, liealg
-from biquot.quat import ImQuaternion
 
 UNIT_I = np.array([1.0, 0.0, 0.0])
 UNIT_J = np.array([0.0, 1.0, 0.0])
@@ -12,7 +11,7 @@ R3 = np.sqrt(3.0)
 
 
 def test_phi3_at_units():
-    at_i = embeddings.phi3_alg(ImQuaternion(1, 0, 0))
+    at_i = embeddings.phi3_alg(UNIT_I)
     assert at_i[0, 0] == pytest.approx([0, 3, 0, 0])
     assert at_i[1, 1] == pytest.approx([0, -1, 0, 0])
     assert np.max(np.abs(at_i[0, 1])) == 0.0
@@ -53,25 +52,33 @@ def test_phi3_homomorphism_property():
 
 
 def test_h1_h2_generators():
-    h1_i = embeddings.h1_basis().at_i
+    h1_i = embeddings.h1_basis()[0]
     assert h1_i[0, 0] == pytest.approx([0, 3, 0, 0])
     assert h1_i[1, 1] == pytest.approx([0, -1, 0, 0])
     assert h1_i[2, 2] == pytest.approx([0, 1, 0, 0])
 
-    h2_i = embeddings.h2_basis().at_i
+    h2_i = embeddings.h2_basis()[0]
     assert np.allclose(h2_i[:2, :2], h1_i[:2, :2])
     assert np.max(np.abs(h2_i[2, 2])) == 0.0
 
 
 def test_h1_i_orthogonal_to_h2_j():
-    val = liealg.g0_inner(embeddings.h1_basis().at_i, embeddings.h2_basis().at_j)
+    val = liealg.g0_inner(embeddings.h1_basis()[0], embeddings.h2_basis()[1])
     assert val == pytest.approx(0.0, abs=1e-14)
 
 
 def test_basis_triples_have_rank_three():
     for triple in (embeddings.h1_basis(), embeddings.h2_basis(),
                    embeddings.adp_h1_basis(embeddings.point_p(0.4))):
-        assert triple.smallest_singular_value() > 1e-8
+        coords = liealg.vec_sp3(triple)
+        assert np.linalg.svd(coords, compute_uv=False)[-1] > 1e-8
+
+
+def test_generator_triples_are_read_only():
+    for triple in (embeddings.h1_basis(), embeddings.h2_basis()):
+        assert triple.shape == (3, 3, 3, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            triple[0, 0, 0, 1] = 0.0
 
 
 def test_point_p_construction():
@@ -98,12 +105,12 @@ def test_adp_h1_matches_closed_form_on_random_angles():
 def test_adp_h1_specific_entries():
     pt = embeddings.point_p(0.3)
     c, s = np.cos(0.3), np.sin(0.3)
-    at_i = embeddings.adp_h1_basis(pt).at_i
+    at_i = embeddings.adp_h1_basis(pt)[0]
     assert np.max(np.abs(at_i[0, 1])) < 1e-14
     assert np.max(np.abs(at_i[1, 2])) < 1e-14
     assert at_i[0, 2] == pytest.approx([0, -2 * c * s, 0, 0], abs=1e-14)
 
-    at_j = embeddings.adp_h1_basis(pt).at_j
+    at_j = embeddings.adp_h1_basis(pt)[1]
     assert at_j[1, 1] == pytest.approx([0, 0, -2, 0], abs=1e-14)
     assert at_j[0, 1] == pytest.approx([0, 0, R3 * c, 0], abs=1e-14)
 
@@ -114,14 +121,13 @@ def test_adp_h1_matches_scalar_adjoint_oracle():
     for _ in range(5):
         pt = embeddings.point_p(rng.uniform(0.05, 1.5))
         pinv = liealg.group_inverse(pt.matrix)
-        for elem, computed in zip(embeddings.h1_basis().stack(),
-                                  embeddings.adp_h1_basis(pt).stack()):
+        for elem, computed in zip(embeddings.h1_basis(), embeddings.adp_h1_basis(pt)):
             brute = scalar_mat_mul(scalar_mat_mul(pt.matrix, elem), pinv)
             assert np.allclose(computed, brute, atol=1e-13)
 
 
 def test_rho_vanishes_on_h2():
-    for elem in embeddings.h2_basis().stack():
+    for elem in embeddings.h2_basis():
         assert np.max(np.abs(embeddings.rho(elem))) == 0.0
 
 

@@ -69,7 +69,7 @@ def test_g0_unit_diagonal():
 
 
 def test_g0_h1_generator_norm():
-    h1_i = embeddings.h1_basis().at_i
+    h1_i = embeddings.h1_basis()[0]
     assert liealg.g0_inner(h1_i, h1_i) == pytest.approx(11.0)
     assert scalar_g0(h1_i, h1_i) == pytest.approx(11.0)
 
@@ -90,10 +90,10 @@ def test_g0_matches_scalar_oracle():
 
 
 def test_split_kp_examples():
-    h2 = embeddings.h2_basis().at_j
+    h2 = embeddings.h2_basis()[1]
     assert np.max(np.abs(liealg.split_kp(h2).p_part)) == 0.0
 
-    only_z1 = liealg.PVector(Quaternion(1, 0, 0, 0), ZERO).to_matrix()
+    only_z1 = mat_from_quaternions([[ZERO, ZERO, 1.0], [ZERO, ZERO, ZERO], [-1.0, ZERO, ZERO]])
     assert np.max(np.abs(liealg.split_kp(only_z1).k_part)) == 0.0
 
 
@@ -107,7 +107,7 @@ def test_split_kp_orthogonal_and_reconstructs():
 
 def test_sp2_project():
     assert np.max(np.abs(liealg.sp2_project(diag(ZERO, ZERO, I)))) == 0.0
-    h2 = embeddings.h2_basis().at_k
+    h2 = embeddings.h2_basis()[2]
     assert np.allclose(liealg.sp2_project(h2), h2)
     rng = np.random.default_rng(10)
     a = liealg.random_sp3(rng, size=100)
@@ -122,7 +122,7 @@ def test_adjoint_identity_and_closed_entries():
 
     theta = 0.37
     c, s = np.cos(theta), np.sin(theta)
-    conj = liealg.adjoint(embeddings.p_matrix(theta), embeddings.h1_basis().at_i)
+    conj = liealg.adjoint(embeddings.p_matrix(theta), embeddings.h1_basis()[0])
     assert conj[0, 0] == pytest.approx([0, 3 * c * c + s * s, 0, 0], abs=1e-12)
     assert conj[0, 2] == pytest.approx([0, -2 * c * s, 0, 0], abs=1e-12)
     assert conj[2, 2] == pytest.approx([0, 3 * s * s + c * c, 0, 0], abs=1e-12)
@@ -186,32 +186,20 @@ def test_symmetric_pair_identity():
 
 
 def test_dependence_residual_examples():
-    one = Quaternion(1, 0, 0, 0)
-    i = Quaternion(0, 1, 0, 0)
-    v = liealg.PVector(one, ZERO)
-    assert liealg.dependence_residual(v, v) == pytest.approx(0.0, abs=1e-15)
-    w = liealg.PVector(ZERO, one)
-    assert liealg.dependence_residual(v, w) == pytest.approx(1.0)
-    a = liealg.PVector(i, ZERO)
-    b = liealg.PVector(i * 2.0, ZERO)
-    assert liealg.dependence_residual(a, b) == pytest.approx(0.0, abs=1e-14)
+    # p-summand vectors (z1, z2) in R^8: v = (1, 0), w = (0, 1), a = (i, 0)
+    v = np.eye(8)[0]
+    assert liealg.gram_residual(v, v) == pytest.approx(0.0, abs=1e-15)
+    w = np.eye(8)[4]
+    assert liealg.gram_residual(v, w) == pytest.approx(1.0)
+    a = np.eye(8)[1]
+    b = 2.0 * np.eye(8)[1]
+    assert liealg.gram_residual(a, b) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_dependence_residual_scale_covariance():
     rng = np.random.default_rng(17)
-    v = liealg.PVector(Quaternion.from_array(rng.standard_normal(4)),
-                       Quaternion.from_array(rng.standard_normal(4)))
-    w = liealg.PVector(Quaternion.from_array(rng.standard_normal(4)),
-                       Quaternion.from_array(rng.standard_normal(4)))
-    base = liealg.dependence_residual(v, w)
-    scaled = liealg.PVector(v.z1 * 2.0, v.z2 * 2.0), liealg.PVector(w.z1 * 3.0, w.z2 * 3.0)
-    assert liealg.dependence_residual(*scaled) == pytest.approx(36.0 * base, rel=1e-12)
-    assert liealg.dependence_residual(v, w, normalized=True) >= 0.0
-
-
-def test_pvector_roundtrip():
-    v = liealg.PVector(Quaternion(1, 2, 3, 4), Quaternion(-1, 0, 0.5, 0))
-    again = liealg.PVector.from_matrix(v.to_matrix())
-    assert np.allclose(again.to_r8(), v.to_r8())
-    with pytest.raises(ValueError, match="p summand"):
-        liealg.PVector.from_matrix(embeddings.h2_basis().at_i)
+    v = np.concatenate([rng.standard_normal(4), rng.standard_normal(4)])
+    w = np.concatenate([rng.standard_normal(4), rng.standard_normal(4)])
+    base = liealg.gram_residual(v, w)
+    assert liealg.gram_residual(2.0 * v, 3.0 * w) == pytest.approx(36.0 * base, rel=1e-12)
+    assert liealg.normalized_gram_residual(v, w) >= 0.0

@@ -4,7 +4,6 @@ from _oracles import mat_from_quaternions, scalar_lemma_equations
 
 from biquot import certify, checks, embeddings, liealg, zeroplane
 from biquot.embeddings import ThetaPoint
-from biquot.quat import ImQuaternion, Quaternion
 
 PT = embeddings.point_p(np.pi / 12.0)
 
@@ -17,15 +16,31 @@ def random_pair(rng):
 
 def test_reduced_pair_matrices_are_skew_and_block_shaped():
     rng = np.random.default_rng(30)
-    rp = zeroplane.random_reduced_pair(rng)
-    x, y = rp.to_matrices()
+    pair = zeroplane.random_reduced_pair(rng)
+    x, y = zeroplane.pair_matrices(pair)
     assert liealg.skew_defect(x) == 0.0
     assert liealg.skew_defect(y) == 0.0
     assert np.max(np.abs(liealg.split_kp(x).p_part)) == 0.0
     assert np.max(np.abs(x[0, 2])) == 0.0
     assert np.max(np.abs(liealg.sp2_project(y))) == 0.0
-    assert x[2, 2, 1:] == pytest.approx(rp.x4.array)
-    assert y[0, 2] == pytest.approx(rp.y1.array)
+    assert x[2, 2, 1:] == pytest.approx(pair[3, 1:])
+    assert y[0, 2] == pytest.approx(pair[4])
+
+
+def test_random_reduced_pair_layout_and_draw_order():
+    # the selftest output depends on this draw order
+    for seed in (0, 1, 2):
+        draws = np.random.default_rng(seed)
+        expected = np.zeros((7, 4))
+        for slot in range(7):
+            if slot in (0, 2, 3, 6):
+                expected[slot, 1:] = draws.standard_normal(3)
+            else:
+                expected[slot] = draws.standard_normal(4)
+        pair = zeroplane.random_reduced_pair(np.random.default_rng(seed))
+        assert pair.shape == (7, 4)
+        assert np.array_equal(pair, expected)
+        assert np.all(pair[[0, 2, 3, 6], 0] == 0.0)
 
 
 def test_conditionA_zero_pair():
@@ -34,7 +49,7 @@ def test_conditionA_zero_pair():
 
 
 def test_conditionA_detects_h2_component():
-    h2_i = embeddings.h2_basis().at_i
+    h2_i = embeddings.h2_basis()[0]
     residual = zeroplane.conditionA_residual(h2_i, np.zeros((3, 3, 4)), PT)
     # the largest pairing is g0(h2_i, h2_i) = 9 + 1 = 10
     assert residual == pytest.approx(10.0, rel=1e-12)
@@ -100,8 +115,7 @@ def test_normal_form_reduce_synthetic_pair():
     x[2, 2, 1:] = rng.standard_normal(3)
     x = liealg.require_sp3(x)
 
-    rp = zeroplane.normal_form_reduce(x, y, PT)
-    xr, yr = rp.to_matrices()
+    xr, yr = zeroplane.pair_matrices(zeroplane.normal_form_reduce(x, y, PT))
     span = np.stack([liealg.vec_sp3(m) for m in (x, y, xr, yr)])
     svals = np.linalg.svd(span, compute_uv=False)
     assert svals[1] > 1e-8 and svals[2] < 1e-10
@@ -109,10 +123,8 @@ def test_normal_form_reduce_synthetic_pair():
 
 def test_normal_form_reduce_keeps_reduced_pairs():
     rng = np.random.default_rng(36)
-    rp = zeroplane.random_reduced_pair(rng)
-    x, y = rp.to_matrices()
-    again = zeroplane.normal_form_reduce(x, y, PT)
-    xr, yr = again.to_matrices()
+    x, y = zeroplane.pair_matrices(zeroplane.random_reduced_pair(rng))
+    xr, yr = zeroplane.pair_matrices(zeroplane.normal_form_reduce(x, y, PT))
     assert np.allclose(xr * liealg.g0_norm(x), x * liealg.g0_norm(xr), atol=1e-9)
     assert np.allclose(yr * liealg.g0_norm(y), y * liealg.g0_norm(yr), atol=1e-9)
 
@@ -140,21 +152,21 @@ def test_normal_form_reduce_rejects_degenerate_corner_map(monkeypatch):
 
 
 def test_vw_zero_pair():
-    v, w = zeroplane.vw_vectors(zeroplane.ReducedPair.zero(), PT)
-    assert np.max(np.abs(v.to_r8())) == 0.0
-    assert np.max(np.abs(w.to_r8())) == 0.0
+    v, w = zeroplane.vw_vectors(np.zeros((7, 4)), PT)
+    assert np.max(np.abs(v)) == 0.0
+    assert np.max(np.abs(w)) == 0.0
 
 
 def test_vw_vanishes_when_x1_equals_x4_and_x2_zero():
     rng = np.random.default_rng(40)
-    shared = ImQuaternion.from_array(rng.standard_normal(3))
-    rp = zeroplane.ReducedPair(
-        x1=shared, x2=Quaternion(), x3=ImQuaternion.from_array(rng.standard_normal(3)),
-        x4=shared, y1=Quaternion.from_array(rng.standard_normal(4)),
-        y2=Quaternion.from_array(rng.standard_normal(4)),
-        y3=ImQuaternion.from_array(rng.standard_normal(3)))
-    v, _ = zeroplane.vw_vectors(rp, PT)
-    assert np.max(np.abs(v.to_r8())) == 0.0
+    pair = np.zeros((7, 4))
+    pair[0, 1:] = pair[3, 1:] = rng.standard_normal(3)
+    pair[2, 1:] = rng.standard_normal(3)
+    pair[4] = rng.standard_normal(4)
+    pair[5] = rng.standard_normal(4)
+    pair[6, 1:] = rng.standard_normal(3)
+    v, _ = zeroplane.vw_vectors(pair, PT)
+    assert np.max(np.abs(v)) == 0.0
 
 
 def test_vw_matches_transported_projection():
@@ -165,15 +177,15 @@ def test_vw_matches_transported_projection():
 
 def test_theta_range_guard():
     pt_large = embeddings.point_p(1.0)
-    rp = zeroplane.ReducedPair.zero()
+    pair = np.zeros((7, 4))
     with pytest.raises(ValueError, match="pi/4"):
-        zeroplane.vw_vectors(rp, pt_large)
+        zeroplane.vw_vectors(pair, pt_large)
     with pytest.raises(ValueError, match="pi/4"):
-        zeroplane.lemma_equations_residual(rp, pt_large)
+        zeroplane.lemma_equations_residual(pair, pt_large)
 
 
 def test_lemma_equations_zero_pair():
-    res = zeroplane.lemma_equations_residual(zeroplane.ReducedPair.zero(), PT)
+    res = zeroplane.lemma_equations_residual(np.zeros((7, 4)), PT)
     assert res.max_eq == 0.0
     assert res.max_abc == 0.0
     assert tuple(res.eq_res) == zeroplane.EQUATION_LABELS
@@ -182,8 +194,8 @@ def test_lemma_equations_zero_pair():
 def test_lemma_equations_on_kernel_line():
     theta = float(PT.theta)
     coords = certify.kernel_reference(theta, 1.0)
-    rp = certify.reduced_pair_from_axis(coords, "j")
-    res = zeroplane.lemma_equations_residual(rp, PT)
+    pair = certify.reduced_pair_from_axis(coords, "j")
+    res = zeroplane.lemma_equations_residual(pair, PT)
     for label in ("2", "3", "4", "5i", "5k", "6i", "6j", "6k", "7i", "7j", "7k"):
         assert res.eq_res[label] <= 1e-8, label
     # the one remaining equation is obstructed: its residual is large ...
@@ -196,8 +208,7 @@ def test_exact_family_solutions_pass_both_residual_paths():
     rng = np.random.default_rng(42)
     for build in (zeroplane.x_side_solution, zeroplane.y_side_solution):
         for _ in range(10):
-            rp = build(rng, PT)
-            res = zeroplane.lemma_equations_residual(rp, PT)
+            res = zeroplane.lemma_equations_residual(build(rng, PT), PT)
             assert res.max_eq <= 1e-12
             assert res.max_abc <= 1e-12
 
@@ -213,8 +224,8 @@ def test_random_pairs_fail_both_residual_paths():
 def test_equivalence_holds_at_wider_angle():
     rng = np.random.default_rng(45)
     pt = embeddings.point_p(0.6)
-    for rp in checks.mixed_pairs(rng, pt, random=100, sides=5, mixed=0):
-        res = zeroplane.lemma_equations_residual(rp, pt)
+    for pair in checks.mixed_pairs(rng, pt, random=100, sides=5, mixed=0):
+        res = zeroplane.lemma_equations_residual(pair, pt)
         assert (res.max_abc <= 1e-9) == (res.max_eq <= 1e-9)
 
 
@@ -223,16 +234,17 @@ def test_family5_matches_direct_pairings():
     h2 = embeddings.h2_basis()
     r3 = np.sqrt(3.0)
     for _ in range(50):
-        rp = zeroplane.random_reduced_pair(rng)
-        x, _ = rp.to_matrices()
+        pair = zeroplane.random_reduced_pair(rng)
+        x, _ = zeroplane.pair_matrices(pair)
+        x1, x2, x3 = pair[0], pair[1], pair[2]
         signed = np.array([
-            3.0 * rp.x1.ci - rp.x3.ci,
-            r3 * rp.x2.cj - rp.x3.cj,
-            r3 * rp.x2.ck + rp.x3.ck,
+            3.0 * x1[1] - x3[1],
+            r3 * x2[2] - x3[2],
+            r3 * x2[3] + x3[3],
         ])
-        direct = np.array([liealg.g0_inner(x, h2.at_i),
-                           liealg.g0_inner(x, h2.at_j),
-                           liealg.g0_inner(x, h2.at_k)])
+        direct = np.array([liealg.g0_inner(x, h2[0]),
+                           liealg.g0_inner(x, h2[1]),
+                           liealg.g0_inner(x, h2[2])])
         # the two evaluation paths differ by the fixed diagonal factor (1, 2, 2)
         assert np.allclose(direct, signed * np.array([1.0, 2.0, 2.0]), atol=1e-11)
 
@@ -249,17 +261,15 @@ def test_batched_equations_match_scalar_oracle_and_per_pair_conditions():
     checked = 0
     for theta in (np.pi / 24.0, np.pi / 12.0, np.pi / 8.0):
         pt = embeddings.point_p(theta)
-        pairs = checks.mixed_pairs(rng, pt, random=50, sides=10, mixed=5)
-        stack = np.stack([rp.array for rp in pairs])
+        stack = checks.mixed_pairs(rng, pt, random=50, sides=10, mixed=5)
         abc, eq = zeroplane.lemma_equations_residuals(stack, pt)
-        assert abc.shape == (len(pairs), 3) and eq.shape == (len(pairs), 13)
-        for rp, row, got_eq, got_abc in zip(pairs, stack, eq, abc):
-            assert zeroplane.ReducedPair.from_array(row) == rp
+        assert abc.shape == (len(stack), 3) and eq.shape == (len(stack), 13)
+        for row, got_eq, got_abc in zip(stack, eq, abc):
             # relative to the size of the pair's coordinates
             scale = max(1.0, float(np.max(np.abs(row))))
-            oracle = np.array(scalar_lemma_equations(rp, theta))
+            oracle = np.array(scalar_lemma_equations(row, theta))
             assert np.max(np.abs(got_eq - oracle)) <= 1e-12 * scale
-            x, y = rp.to_matrices()
+            x, y = zeroplane.pair_matrices(row)
             direct = np.array([zeroplane.conditionA_residual(x, y, pt),
                                zeroplane.conditionB_residual(x, y),
                                zeroplane.conditionC_residual(x, y, pt)])
@@ -270,8 +280,8 @@ def test_batched_equations_match_scalar_oracle_and_per_pair_conditions():
 
 def test_batched_equations_keep_leading_axes():
     rng = np.random.default_rng(47)
-    pairs = [zeroplane.random_reduced_pair(rng) for _ in range(10)]
-    stack = np.stack([rp.array for rp in pairs]).reshape(2, 5, 7, 4)
+    pairs = np.stack([zeroplane.random_reduced_pair(rng) for _ in range(10)])
+    stack = pairs.reshape(2, 5, 7, 4)
     abc, eq = zeroplane.lemma_equations_residuals(stack, PT)
     assert eq.shape == (2, 5, 13)
     assert abc.shape == (2, 5, 3)
@@ -291,4 +301,4 @@ def test_batched_equations_reject_malformed_stacks():
     with pytest.raises(ValueError, match="finite"):
         zeroplane.lemma_equations_residuals(stack, PT)
     with pytest.raises(ValueError, match="one pair"):
-        zeroplane.ReducedPair.from_array(np.zeros((3, 7, 4)))
+        zeroplane.lemma_equations_residual(np.zeros((3, 7, 4)), PT)
