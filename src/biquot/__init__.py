@@ -16,6 +16,7 @@ from .certify import (
     identity_suite,
     kernel_reference,
     kernel_solution,
+    kernel_solutions,
     search_zero_plane,
     search_zero_planes,
     sign_certificate,

@@ -2,12 +2,16 @@
 
 The algebraic pipeline reduces a candidate flat plane at p(theta), with all
 coordinates confined to a single imaginary axis ell in {j, k}, to a 6x7
-homogeneous linear system.  `kernel_solution` extracts its null space by
-singular value decomposition, `kernel_reference` evaluates the closed-form
-null vector, and `sign_certificate` checks that the surviving line violates
-the one remaining quadratic equation, which rules the plane out.  The sign
-convention baked into the system's fourth row is epsilon = +1 for ell = j
-and -1 for ell = k.
+homogeneous linear system.  The kernel chain is batched over angles:
+`build_linear_system` stacks the systems, `kernel_solutions` extracts their
+null spaces with one stacked singular value decomposition, and
+`reference_match` compares them with the closed-form null vectors of
+`kernel_reference`; `kernel_solution` is the one-angle case.  Each matrix
+of a stacked SVD is factored on its own, so a batch's dimensions and
+coordinates equal the one-angle results bit for bit.  `sign_certificate`
+checks that the surviving line violates the one remaining quadratic
+equation, which rules the plane out.  The sign convention baked into the
+system's fourth row is epsilon = +1 for ell = j and -1 for ell = k.
 
 `search_zero_plane` is the independent numerical check: it minimizes the
 squared commutation residuals of conditions (B) and (C) over 2-planes inside
@@ -63,6 +67,7 @@ __all__ = [
     "identity_suite",
     "kernel_reference",
     "kernel_solution",
+    "kernel_solutions",
     "p_subspace_basis",
     "reference_match",
     "search_zero_plane",
@@ -91,29 +96,35 @@ def _epsilon(ell: str) -> float:
         raise ValueError(f"axis label must be 'j' or 'k', got {ell!r}") from None
 
 
-def build_linear_system(theta: float, ell: str) -> np.ndarray:
-    """6x7 coefficient matrix of the single-axis equations at p(theta).
+def build_linear_system(theta, ell: str) -> np.ndarray:
+    """6x7 coefficient matrices (..., 6, 7) of the single-axis equations at
+    p(theta), batched over theta.
 
     Columns are ordered (x1, x2, x3, x4, y1, y2, y3); rows are the linearized
     equation (2), the two scale rows (4.1)/(4.2), and the ell rows of
     families (5), (6) and (7).
     """
     eps = _epsilon(ell)
-    theta = float(theta)
-    if not 0.0 < theta < np.pi / 2.0:
-        raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
-    c, s = math.cos(theta), math.sin(theta)
-    if c == 0.0:
-        raise ValueError("cos(theta) vanishes; the system is undefined")
+    theta = np.asarray(theta, dtype=float)[()]
+    inside = (0.0 < theta) & (theta < np.pi / 2.0)
+    if not inside.all():
+        first = float(np.extract(~inside, theta)[0])
+        raise ValueError(f"theta must lie in (0, pi/2), got {first!r}")
+    # cos > 0 on every double below np.pi / 2
+    c, s = np.cos(theta), np.sin(theta)
     t = s / c
-    return np.array([
-        [0.0, 0.0, -t, t, -1.0, 0.0, 0.0],
-        [c * s, 0.0, 0.0, -c * s, s * s - c * c, 0.0, c * s],
-        [0.0, t, 0.0, 0.0, 0.0, -1.0, 0.0],
-        [0.0, _R3, eps, 0.0, 0.0, 0.0, 0.0],
-        [s * s, 2.0 * _R3 * (c - 1.0), 0.0, c * c, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 2.0 * s * c, -2.0 * _R3 * s, c * c],
-    ])
+    zero = 0.0 * c
+    one = zero + 1.0
+    rows = [
+        [zero, zero, -t, t, -one, zero, zero],
+        [c * s, zero, zero, -c * s, s * s - c * c, zero, c * s],
+        [zero, t, zero, zero, zero, -one, zero],
+        [zero, _R3 * one, eps * one, zero, zero, zero, zero],
+        [s * s, 2.0 * _R3 * (c - 1.0), zero, c * c, zero, zero, zero],
+        [zero, zero, zero, zero, 2.0 * s * c, -2.0 * _R3 * s, c * c],
+    ]
+    system = np.array(rows)
+    return system.transpose(*range(2, system.ndim), 0, 1)
 
 
 def kernel_reference(theta, epsilon: float) -> np.ndarray:
@@ -141,43 +152,61 @@ def kernel_reference(theta, epsilon: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSolution:
-    """Gauge-normalized null vector of the single-axis system."""
+    """Gauge-normalized null vectors (..., 7) of the single-axis systems."""
 
     ell: str
     epsilon: float
     coords: np.ndarray
 
 
-def kernel_solution(theta: float, ell: str) -> tuple[int, KernelSolution]:
-    """Null-space dimension and gauge-normalized basis vector, via SVD.
+def kernel_solutions(theta, ell: str) -> tuple[np.ndarray, KernelSolution]:
+    """Null-space dimensions and gauge-normalized basis vectors, batched over
+    theta, from one stacked SVD.
 
-    The dimension counts, at tolerance 1e-10, the vanishing entries of the
-    seven-value spectrum of the system as a map on R^7 (six computed singular
+    Each dimension counts, at tolerance 1e-10, the vanishing entries of the
+    seven-value spectrum of its system as a map on R^7 (six computed singular
     values plus the structural zero).  The count is only trustworthy with a
     gap above it, so a second-smallest computed singular value below 1e-6 is
-    reported as an error.
+    reported as an error, as is a null vector with no (x2) component to fix
+    the gauge by.  A batch raises the error that the first such angle, in
+    theta's flattened order, raises alone.
     """
     eps = _epsilon(ell)
-    matrix = build_linear_system(theta, ell)
-    _, svals, vt = np.linalg.svd(matrix)
-    if svals[4] < KERNEL_GAP_TOL:
-        raise ValueError(
-            f"ill-conditioned null-space gap: fifth singular value {svals[4]:.3e}")
-    spectrum = np.append(svals, 0.0)
-    dimension = int(np.sum(spectrum <= KERNEL_SV_TOL))
-    vector = vt[-1]
-    gauge = -_R3 * math.cos(theta)
-    if abs(vector[1]) < 1e-12 * np.linalg.norm(vector):
+    # the gufunc behind np.linalg.svd (not public API), called directly: the
+    # wrapper's checks cost about a third of a one-angle call
+    _, svals, vt = _umath_linalg.svd_f(build_linear_system(theta, ell), signature="d->ddd")
+    vectors = vt[..., -1, :]
+    gaps = svals[..., 4]
+    # the rows of vt are unit vectors; the NaN an SVD that fails to converge
+    # leaves fails both tests
+    ok = (gaps >= KERNEL_GAP_TOL) & (np.abs(vectors[..., 1]) >= 1e-12)
+    if not ok.all():
+        gap = np.ravel(gaps)[np.flatnonzero(~ok)[0]]
+        if not gap >= KERNEL_GAP_TOL:
+            raise ValueError(f"ill-conditioned null-space gap: fifth singular value {gap:.3e}")
         raise ValueError("kernel vector has no (x2) component; gauge undefined")
-    coords = vector * (gauge / vector[1])
-    return dimension, KernelSolution(ell=ell, epsilon=eps, coords=coords)
+    # above the gap only the sixth computed value can vanish
+    dimensions = (svals[..., 5] <= KERNEL_SV_TOL) + 1
+    gauge = -_R3 * np.cos(theta)
+    coords = vectors * (gauge / vectors[..., 1])[..., None]
+    return dimensions, KernelSolution(ell=ell, epsilon=eps, coords=coords)
 
 
-def reference_match(theta: float, solution: KernelSolution) -> float:
-    """|cosine| between a kernel vector and the closed form on its axis."""
+def kernel_solution(theta: float, ell: str) -> tuple[int, KernelSolution]:
+    """Null-space dimension and gauge-normalized basis vector at one angle:
+    the one-angle case of `kernel_solutions`."""
+    dimension, solution = kernel_solutions(float(theta), ell)
+    return int(dimension), solution
+
+
+def reference_match(theta, solution: KernelSolution):
+    """|cosine| between kernel vectors and the closed form on their axis,
+    batched over theta; a float at one angle."""
     reference = kernel_reference(theta, solution.epsilon)
-    denom = np.linalg.norm(solution.coords) * np.linalg.norm(reference)
-    return float(abs(solution.coords @ reference) / denom)
+    coords = solution.coords
+    denom = np.sqrt(np.vecdot(coords, coords)) * np.sqrt(np.vecdot(reference, reference))
+    match = np.abs(np.vecdot(coords, reference)) / denom
+    return match if np.ndim(match) else float(match)
 
 
 def reduced_pair_from_axis(coords: np.ndarray, ell: str) -> np.ndarray:
@@ -815,7 +844,8 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
     refined by the same Newton search the plane search uses, for at most
     `refine_iterations` iterations each.  A strictly positive floor
     certifies that commuting pairs in the subspace are dependent.
-    `subspace` holds the coordinates (21, d) of an orthonormal basis, d >= 2.
+    `subspace` holds the coordinates (21, d) of an orthonormal basis, d >= 2,
+    with max |B^T B - I| at most 1e-10.
     """
     subspace = np.asarray(subspace, dtype=float)
     if subspace.ndim != 2 or subspace.shape[0] != 21 or subspace.shape[1] < 2:
@@ -823,6 +853,10 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
                          f"2 columns, got shape {subspace.shape}")
     if not np.all(np.isfinite(subspace)):
         raise ValueError("subspace entries must be finite")
+    gram_defect = np.max(np.abs(subspace.T @ subspace - np.eye(subspace.shape[1])))
+    if gram_defect > 1e-10:
+        raise ValueError("subspace must have orthonormal columns, got "
+                         f"max |B^T B - I| = {gram_defect:.3e} above 1e-10")
     seed = _integer("seed", seed)
     samples = _integer("samples", samples)
     refine_starts = _integer("refine_starts", refine_starts)

@@ -18,8 +18,10 @@ from .quat import Quaternion
 
 def quaternion_algebra(rng: np.random.Generator, pairs: int) -> float:
     """Worst defect of |ab| = |a||b|, conj(a) a = |a|^2, Re(ab) = Re(ba) and
-    [Im a, Im b] = 2 Im a x Im b over random scalar quaternions a, b."""
-    defects = []
+    [Im a, Im b] = 2 Im a x Im b over random scalar quaternions a, b.
+
+    The products are scalar; the cross products run as one batch at the end."""
+    defects, commutators, im_a, im_b = [], [], [], []
     for _ in range(pairs):
         a = Quaternion.from_array(rng.standard_normal(4))
         b = Quaternion.from_array(rng.standard_normal(4))
@@ -31,9 +33,11 @@ def quaternion_algebra(rng: np.random.Generator, pairs: int) -> float:
                     abs(resolved.ci), abs(resolved.cj), abs(resolved.ck)]
         defects.append(abs((a * b).re - (b * a).re))
         ia, ib = Quaternion(0.0, a.ci, a.cj, a.ck), Quaternion(0.0, b.ci, b.cj, b.ck)
-        comm = (ia * ib - ib * ia).array[1:]
-        defects.append(np.max(np.abs(comm - 2.0 * np.cross(a.array[1:], b.array[1:]))))
-    return float(np.max(defects))
+        commutators.append((ia * ib - ib * ia).array[1:])
+        im_a.append(ia.array[1:])
+        im_b.append(ib.array[1:])
+    cross = 2.0 * np.cross(np.array(im_a), np.array(im_b))
+    return float(np.max([np.max(defects), np.max(np.abs(np.array(commutators) - cross))]))
 
 
 def phi3_homomorphism(rng: np.random.Generator, pairs: int) -> float:
@@ -153,13 +157,13 @@ def linear_family_map(rng: np.random.Generator, fit: int,
 
 def kernel_two_path(points: int) -> tuple[set[int], float]:
     """Kernel dimensions seen, and the worst `certify.reference_match`, on
-    both axes over `points` angles in (0, pi/6)."""
+    both axes over `points` angles in (0, pi/6): one stacked SVD per axis."""
+    thetas = np.linspace(0.01, np.pi / 6.0 - 0.01, points)
     dims, matches = set(), []
-    for theta in np.linspace(0.01, np.pi / 6.0 - 0.01, points):
-        for ell in ("j", "k"):
-            dim, solution = certify.kernel_solution(float(theta), ell)
-            dims.add(dim)
-            matches.append(certify.reference_match(float(theta), solution))
+    for ell in ("j", "k"):
+        found, solutions = certify.kernel_solutions(thetas, ell)
+        dims.update(found.tolist())
+        matches.append(certify.reference_match(thetas, solutions))
     return dims, float(np.min(matches))
 
 

@@ -31,8 +31,11 @@ def _bool(x: bool) -> str:
 
 
 def _require_output_dir(path: str) -> None:
-    """Fail before any work when the directory meant to hold `path` is missing;
-    the file itself is written only once every result is computed."""
+    """Fail before any work when `path` is a directory or the directory meant
+    to hold it is missing; the file itself is written only once every result
+    is computed."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path!r} is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ValueError(f"output directory {directory!r} does not exist")

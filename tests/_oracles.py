@@ -3,13 +3,15 @@
 These deliberately avoid the library's array fast paths: matrices are read
 into and built from grids of scalar Quaternion entries, matrix products are
 accumulated entry by entry, and the thirteen reduced-pair equations are
-written out, with the scalar Quaternion class.
+written out, with the scalar Quaternion class.  The one-item loops that the
+batched checks replaced are kept here too, to compare the checks against.
 """
 
 import math
 
 import numpy as np
 
+from biquot import certify
 from biquot.quat import Quaternion
 
 
@@ -103,3 +105,34 @@ def scalar_lemma_equations(pair, theta: float) -> list[float]:
         abs(2.0 * s * c * y1.cj - 2.0 * r3 * s * y2.cj + c * c * y3.cj),
         abs(2.0 * s * c * y1.ck - 2.0 * r3 * s * y2.ck + c * c * y3.ck),
     ]
+
+
+def per_pair_quaternion_algebra(rng: np.random.Generator, pairs: int) -> float:
+    """`checks.quaternion_algebra` with one cross product per pair."""
+    defects = []
+    for _ in range(pairs):
+        a = Quaternion.from_array(rng.standard_normal(4))
+        b = Quaternion.from_array(rng.standard_normal(4))
+        prod = a * b
+        defects.append(abs(prod.norm_sq() - a.norm_sq() * b.norm_sq())
+                       / (a.norm_sq() * b.norm_sq()))
+        resolved = a.conj() * a
+        defects += [abs(resolved.re - a.norm_sq()) / a.norm_sq(),
+                    abs(resolved.ci), abs(resolved.cj), abs(resolved.ck)]
+        defects.append(abs((a * b).re - (b * a).re))
+        ia, ib = Quaternion(0.0, a.ci, a.cj, a.ck), Quaternion(0.0, b.ci, b.cj, b.ck)
+        comm = (ia * ib - ib * ia).array[1:]
+        defects.append(np.max(np.abs(comm - 2.0 * np.cross(a.array[1:], b.array[1:]))))
+    return float(np.max(defects))
+
+
+def per_angle_kernel_two_path(points: int) -> tuple[set[int], float]:
+    """`checks.kernel_two_path` with one `certify.kernel_solution` call and one
+    `certify.reference_match` call per angle and axis."""
+    dims, matches = set(), []
+    for theta in np.linspace(0.01, np.pi / 6.0 - 0.01, points):
+        for ell in ("j", "k"):
+            dim, solution = certify.kernel_solution(float(theta), ell)
+            dims.add(dim)
+            matches.append(certify.reference_match(float(theta), solution))
+    return dims, float(np.min(matches))

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import per_angle_kernel_two_path
 
-from biquot import certify, embeddings, liealg, zeroplane
+from biquot import certify, checks, embeddings, liealg, zeroplane
 
 R3 = np.sqrt(3.0)
 PI12 = np.pi / 12.0
@@ -80,6 +81,60 @@ def test_kernel_solution_reports_ill_conditioned_gap(monkeypatch):
     monkeypatch.setattr("biquot.certify.build_linear_system", lambda theta, ell: rank_two)
     with pytest.raises(ValueError, match="ill-conditioned"):
         certify.kernel_solution(0.3, "j")
+
+
+SELFTEST_GRID = np.linspace(0.01, np.pi / 6.0 - 0.01, 1000)
+BUILD_LINEAR_SYSTEM = certify.build_linear_system
+
+
+@pytest.mark.parametrize("ell", ["j", "k"])
+def test_kernel_solutions_match_one_angle_calls(ell):
+    dims, solutions = certify.kernel_solutions(SELFTEST_GRID, ell)
+    one_angle = [certify.kernel_solution(float(theta), ell) for theta in SELFTEST_GRID]
+    assert np.array_equal(dims, [dim for dim, _ in one_angle])
+    assert np.array_equal(solutions.coords, np.stack([sol.coords for _, sol in one_angle]))
+    assert solutions.ell == ell and solutions.epsilon == certify.EPSILON_BY_ELL[ell]
+
+
+def _with_systems(monkeypatch, replaced):
+    """Patch `build_linear_system` to return the true systems with the ones at
+    the given angle indices replaced."""
+    def build(theta, ell):
+        systems = BUILD_LINEAR_SYSTEM(theta, ell).copy()
+        for index, system in replaced.items():
+            systems[index] = system
+        return systems
+
+    monkeypatch.setattr("biquot.certify.build_linear_system", build)
+
+
+def test_kernel_solutions_raise_the_one_angle_error_of_the_first_failing_angle(monkeypatch):
+    rank_two = np.outer(np.arange(1.0, 7.0), np.ones(7))
+    rank_two[0, 0] += 1.0
+    no_gauge = np.hstack([np.zeros((6, 1)), np.eye(6)])  # kernel along (x1)
+    thetas = np.linspace(0.1, 0.5, 5)
+
+    monkeypatch.setattr("biquot.certify.build_linear_system", lambda theta, ell: rank_two)
+    with pytest.raises(ValueError, match="ill-conditioned") as one_angle:
+        certify.kernel_solution(0.3, "j")
+    _with_systems(monkeypatch, {3: rank_two})
+    with pytest.raises(ValueError, match="ill-conditioned") as batch:
+        certify.kernel_solutions(thetas, "j")
+    assert str(batch.value) == str(one_angle.value)
+
+    _with_systems(monkeypatch, {1: no_gauge, 3: rank_two})
+    with pytest.raises(ValueError, match="gauge undefined"):
+        certify.kernel_solutions(thetas, "k")
+    _with_systems(monkeypatch, {1: rank_two, 3: no_gauge})
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        certify.kernel_solutions(thetas, "k")
+
+
+def test_kernel_two_path_matches_per_angle_oracle():
+    dims, worst = checks.kernel_two_path(points=1000)
+    oracle_dims, oracle_worst = per_angle_kernel_two_path(points=1000)
+    assert dims == oracle_dims == {1}
+    assert abs(worst - oracle_worst) <= 4.0 * np.spacing(oracle_worst)
 
 
 def test_sign_certificate_values():
@@ -392,6 +447,13 @@ def test_bracket_floor_quick():
     assert 1e-6 <= berger <= 0.4 + 1e-6
 
 
+def _skewed_p_basis():
+    """Unit columns spanning the p summand, the second at 45 degrees to the first."""
+    basis = certify.p_subspace_basis().copy()
+    basis[:, 1] = (basis[:, 0] + basis[:, 1]) / np.sqrt(2.0)
+    return basis
+
+
 @pytest.mark.parametrize("name,value,message", [
     pytest.param("samples", 0, "must be at least", id="samples-0"),
     pytest.param("refine_starts", 0, "must be at least", id="refine_starts-0"),
@@ -402,6 +464,10 @@ def test_bracket_floor_quick():
     pytest.param("subspace", np.ones(21), "must be a 2-D array", id="subspace-1-d"),
     pytest.param("subspace", np.full((21, 8), np.nan), "entries must be finite",
                  id="subspace-nan"),
+    pytest.param("subspace", 2.0 * certify.p_subspace_basis(),
+                 "must have orthonormal columns", id="subspace-scaled"),
+    pytest.param("subspace", _skewed_p_basis(), "must have orthonormal columns",
+                 id="subspace-skewed"),
 ])
 def test_bracket_floor_rejects_bad_sizes(name, value, message):
     kwargs = {"subspace": certify.p_subspace_basis(), "samples": 10, name: value}
@@ -429,6 +495,8 @@ def test_subspace_bases():
     h2 = embeddings.h2_basis()
     cross = liealg.vec_sp3(h2) @ berger
     assert np.max(np.abs(cross)) <= 1e-12
+    for basis in (p_basis, berger):
+        assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-10
 
 
 def test_certify_theta_verdicts():

@@ -218,24 +218,31 @@ def test_scan_unwritable_path_exit_one(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["scan", "--from", "0.1", "--to", "0.2", "--steps", "2", "--starts", "1",
-      "--iterations", "5"], "--out"),
-    (["check", "--theta", "0.2", "--mode", "both", "--starts", "1",
-      "--iterations", "5"], "--json"),
-], ids=["scan", "check"])
+OUTPUT_COMMANDS = {
+    "scan": (["scan", "--from", "0.1", "--to", "0.2", "--steps", "2", "--starts", "1",
+              "--iterations", "5"], "--out"),
+    "check": (["check", "--theta", "0.2", "--mode", "both", "--starts", "1",
+               "--iterations", "5"], "--json"),
+}
+
+
+@pytest.mark.parametrize("command,target", [
+    ("scan", "missing"), ("check", "missing"), ("scan", "directory"), ("check", "directory"),
+], ids=["scan", "check", "scan-dir", "check-dir"])
 def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
-                                                        argv, flag):
+                                                        command, target):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the output path was rejected")
 
     for name in ("search_zero_plane", "search_zero_planes", "certify_theta"):
         monkeypatch.setattr(certify, name, no_work)
+    argv, flag = OUTPUT_COMMANDS[command]
     missing = tmp_path / "missing"
-    code, out, err = run(capsys, argv + [flag, str(missing / "report")])
+    path = missing / "report" if target == "missing" else tmp_path
+    code, out, err = run(capsys, argv + [flag, str(path)])
     assert code == 1
     assert out == ""
-    assert str(missing) in err
+    assert (str(missing) if target == "missing" else f"{str(path)!r} is a directory") in err
     assert not missing.exists()
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _oracles import per_pair_quaternion_algebra
 
+from biquot import checks
 from biquot.quat import (
     MUL_TABLE,
     Quaternion,
@@ -94,3 +96,9 @@ def test_mul_table_matches_scalar_product():
         assert np.allclose(row_out, scalar.array, atol=1e-13)
     assert MUL_TABLE.shape == (4, 4, 4)
     assert qnorm_sq(a) == pytest.approx(np.sum(a * a, axis=-1))
+
+
+@pytest.mark.parametrize("seed,pairs", [(101, 500), (2718, 300)])
+def test_quaternion_algebra_check_equals_per_pair_oracle(seed, pairs):
+    got = checks.quaternion_algebra(np.random.default_rng(seed), pairs)
+    assert got == per_pair_quaternion_algebra(np.random.default_rng(seed), pairs)
