@@ -20,7 +20,11 @@ minimum.  Every residual term is an antisymmetric bilinear bracket, so the
 objective is a fixed real quadratic form in the wedge x ^ y, built once per
 angle from the sp(3) structure constants and folded into antisymmetric
 matrices A_k with residuals x^T A_k y.  That makes the Riemannian gradient
-and Hessian on the Grassmannian Gr(2, 15) cheap and explicit, and each start
+and Hessian on the Grassmannian Gr(2, 15) cheap and explicit.  The form's
+factor is exact: by the symmetric-pair identity [x, y]_k = [x_k, y_k] +
+[x_p, y_p], and because Ad_{p^-1} is an automorphism, 47 of the 73 residual
+terms span the rest, and a 47 x 47 Cholesky factor per angle turns them into
+a factor of the full form, with no SVD and no rank tolerance.  Each start
 runs a Riemannian Newton method with a per-frame Levenberg shift until its
 gradient norm falls below `GRAD_TOL`, it stalls, or it reaches the
 iteration cap.  `search_zero_planes` runs that search for many angles as
@@ -43,6 +47,7 @@ orthonormal 2-frames is a closed-form Gram-Schmidt step.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -131,11 +136,18 @@ def kernel_reference(theta, epsilon: float) -> np.ndarray:
     """Closed-form null vector of the single-axis system, batched over theta.
 
     Component order matches `build_linear_system`; the gauge has
-    (x2) = -sqrt(3) cos(theta).
+    (x2) = -sqrt(3) cos(theta).  A one-angle call returns a copy of a
+    memoized vector: `certify_theta` reads each axis's vector for its match
+    and for the sign test, and the j vector again for the lambda note.
     """
     if epsilon not in (1.0, -1.0, 1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon!r}")
-    eps = float(epsilon)
+    if np.ndim(theta):
+        return _reference_vectors(theta, float(epsilon))
+    return _one_angle_reference(float(theta), float(epsilon)).copy()
+
+
+def _reference_vectors(theta, eps: float) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
     t = np.tan(theta)
@@ -148,6 +160,9 @@ def kernel_reference(theta, epsilon: float) -> np.ndarray:
         -_R3 * s,
         6.0 * t**2 * ((2.0 + eps) * c**3 - 4.0 * c**2 + 1.0),
     ], axis=-1)
+
+
+_one_angle_reference = functools.lru_cache(maxsize=4)(_reference_vectors)
 
 
 @dataclass(frozen=True)
@@ -331,31 +346,48 @@ def _wedge_terms(vectors: np.ndarray, structure: np.ndarray) -> np.ndarray:
     return (columns[..., None, :, :] @ half)[..., a, b, :]
 
 
-def _compress(terms: np.ndarray) -> np.ndarray:
-    """Factor L of rank r with L L^T = terms terms^T, from a thin SVD."""
-    left, svals, _ = np.linalg.svd(terms, full_matrices=False)
-    rank = int(np.sum(svals > svals[0] * max(terms.shape) * np.finfo(float).eps))
-    return left[:, :rank] * svals[:rank]
+def _pair_forms(points: list[ThetaPoint], bases: list[np.ndarray]) -> np.ndarray:
+    """Factors L (n, 105, 47) of the squared (B)+(C) residuals at the points
+    `points`, each on wedges of the columns of its basis in `bases`.
 
-
-def _pair_forms(points: list[ThetaPoint], bases: list[np.ndarray]) -> list[np.ndarray]:
-    """Forms of the squared (B)+(C) residuals at the points `points`, each on
-    wedges of the columns of its basis in `bases`.
-
-    The terms are [x, y], the k-k and p-p brackets of the pair, and the same
-    two brackets of the pair moved by Ad_{p^-1}.  The points go through
-    every product as one stack, and each form equals the one its point
-    alone gives.
+    The residual terms are T = [F | KK | PP | TKK | TPP]: the bracket
+    F = [x, y], its parts KK = [x_k, y_k] and PP = [x_p, y_p], and the same
+    two parts of the pair moved by A = Ad_{p^-1}.  Since [x, y]_k = [x_k, y_k]
+    + [x_p, y_p] and A is an automorphism, PP = F_k - KK and
+    TPP = F A_k^T - TKK, with A_k the k rows of A.  So T = S M with
+    S = [F | KK | TKK], and L = S C with C the Cholesky factor of M M^T has
+    L L^T = T T^T.  M M^T is at least the identity, so the factor always
+    exists.  The points go through every product as one stack, and each form
+    equals the one its point alone gives.
     """
     matrices = np.stack([pt.matrix for pt in points])
     basis = np.stack(bases)
-    transport = np.swapaxes(liealg.vec_sp3(
-        liealg.adjoint(liealg.group_inverse(matrices)[:, None], _UNITS)), 1, 2)
-    terms = [_wedge_terms(basis, _STRUCTURE)]
-    for vectors in (basis, transport @ basis):
-        terms.append(_wedge_terms(vectors[:, _K], _STRUCTURE[_K, _K, _K]))
-        terms.append(_wedge_terms(vectors[:, _P], _STRUCTURE[_P, _P, _K]))
-    return [_compress(stack) for stack in np.concatenate(terms, axis=-1)]
+    # A_k, the k rows of the coordinate matrix of Ad_{p^-1}
+    moved = np.swapaxes(liealg.vec_sp3(
+        liealg.adjoint(liealg.group_inverse(matrices)[:, None], _UNITS)), 1, 2)[:, _K]
+    kk = _STRUCTURE[_K, _K, _K]
+    spanning = np.concatenate([_wedge_terms(basis, _STRUCTURE), _wedge_terms(basis[:, _K], kk),
+                               _wedge_terms(moved @ basis, kk)], axis=-1)
+    # M M^T in the blocks of S: [[I + P_k^T P_k + A_k^T A_k, -P_k^T, -A_k^T],
+    # [-P_k, 2 I, 0], [-A_k, 0, 2 I]], with P_k the k rows of the identity
+    moved_t = np.swapaxes(moved, 1, 2)
+    gram = np.zeros((len(points), 47, 47))
+    gram[:, :21, :21] = np.eye(21) + moved_t @ moved
+    gram[:, 21:, 21:] = 2.0 * np.eye(26)
+    gram[:, :21, 34:] = -moved_t
+    gram[:, 34:, :21] = -moved
+    k = np.arange(13)
+    gram[:, k, k] += 1.0
+    gram[:, k, 21 + k] = gram[:, 21 + k, k] = -1.0
+    return spanning @ _umath_linalg.cholesky_lo(gram, signature="d->d")
+
+
+def _bracket_form(subspace: np.ndarray) -> np.ndarray:
+    """Terms of the squared bracket on wedges of the columns of `subspace`
+    (21, d), without the coordinates the bracket never reaches: [p, p] lies
+    in k and [sp(2), sp(2)] in sp(2), so those columns are exactly zero."""
+    terms = _wedge_terms(subspace, _STRUCTURE)
+    return terms[:, np.any(terms != 0.0, axis=0)]
 
 
 # Most rows per gemm call in `_WedgeObjective`, and the tile that every
@@ -380,8 +412,7 @@ class _WedgeObjective:
     folded once into the antisymmetric matrix A_k, so the residuals are
     r_k = x^T A_k y, and the products A_k x and A_k y give the value, the
     gradient and the Gauss-Newton part of the Hessian.  The methods take
-    `group`, the index of each frame's form (form 0 for all when None);
-    forms of lower rank are padded with zero columns.
+    `group`, the index of each frame's form (form 0 for all when None).
 
     The x and y rows of the frames that share a form are cut into blocks of
     equal height, at most `_BLOCK` rows and a multiple of `_TILE`, padded
@@ -407,19 +438,17 @@ class _WedgeObjective:
       stored contiguous.
     """
 
-    def __init__(self, forms):
-        wedges = len(forms[0])
+    def __init__(self, forms: np.ndarray):
+        count, wedges, self.rank = forms.shape
         self.dim = dim = math.isqrt(2 * wedges) + 1
-        self.rank = rank = max(form.shape[1] for form in forms)
         a, b = np.triu_indices(dim, 1)
-        products = np.zeros((len(forms), dim, dim, rank))
-        for out, form in zip(products, forms):
-            out[b, a, :form.shape[1]] = form
-            out[a, b, :form.shape[1]] = -form
+        products = np.zeros((count, dim, dim, self.rank))
+        products[:, b, a] = forms
+        products[:, a, b] = -forms
         # v @ products[f] lists (A_k v)_a at column a * rank + k, and
         # matrices[f] @ r lists sum_k r_k A_k, transposed, row by row
-        self.products = products.reshape(len(forms), dim, dim * rank)
-        self.matrices = products.reshape(len(forms), dim * dim, rank)
+        self.products = products.reshape(count, dim, dim * self.rank)
+        self.matrices = products.reshape(count, dim * dim, self.rank)
 
     def _apply(self, rows: np.ndarray, group, operands: np.ndarray,
                columns: bool = False) -> np.ndarray:
@@ -866,7 +895,7 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
         if size < least:
             raise ValueError(f"{name} must be at least {least}, got {size!r}")
     dim = subspace.shape[1]
-    objective = _WedgeObjective([_compress(_wedge_terms(subspace, _STRUCTURE))])
+    objective = _WedgeObjective(_bracket_form(subspace)[None])
     rng = np.random.default_rng(seed)
 
     chunk = 20_000

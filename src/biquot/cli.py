@@ -102,9 +102,11 @@ def cmd_scan(args) -> int:
                          f"got from={lo!r} to={hi!r}")
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps!r}")
+    # the search's own checks, before the grid is built: a bad size must not
+    # wait on, or fail in, an allocation of --steps angles
+    certify._search_sizes(args.starts, args.iterations, [args.seed])
 
     thetas = [float(theta) for theta in np.linspace(lo, hi, args.steps)]
-    # the search validates its sizes and seeds before doing any work
     reports = certify.search_zero_planes(
         thetas, args.starts, args.iterations,
         [args.seed + 100003 * row for row in range(args.steps)])
@@ -202,7 +204,7 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,14 +4,15 @@ These deliberately avoid the library's array fast paths: matrices are read
 into and built from grids of scalar Quaternion entries, matrix products are
 accumulated entry by entry, and the thirteen reduced-pair equations are
 written out, with the scalar Quaternion class.  The one-item loops that the
-batched checks replaced are kept here too, to compare the checks against.
+batched checks replaced are kept here too, to compare the checks against, and
+so are the full residual term matrices that the exact search forms factor.
 """
 
 import math
 
 import numpy as np
 
-from biquot import certify
+from biquot import certify, liealg
 from biquot.quat import Quaternion
 
 
@@ -136,3 +137,24 @@ def per_angle_kernel_two_path(points: int) -> tuple[set[int], float]:
             dims.add(dim)
             matches.append(certify.reference_match(float(theta), solution))
     return dims, float(np.min(matches))
+
+
+def pair_terms(points, bases) -> np.ndarray:
+    """All 73 residual terms (n, 105, 73) of the squared (B)+(C) residuals:
+    [x, y], the k-k and p-p brackets of the pair, and the same two brackets
+    of the pair moved by Ad_{p^-1}, each on wedges of the basis columns."""
+    structure, k, p = certify._STRUCTURE, certify._K, certify._P
+    matrices = np.stack([pt.matrix for pt in points])
+    basis = np.stack(bases)
+    transport = np.swapaxes(liealg.vec_sp3(
+        liealg.adjoint(liealg.group_inverse(matrices)[:, None], certify._UNITS)), 1, 2)
+    terms = [certify._wedge_terms(basis, structure)]
+    for vectors in (basis, transport @ basis):
+        terms.append(certify._wedge_terms(vectors[:, k], structure[k, k, k]))
+        terms.append(certify._wedge_terms(vectors[:, p], structure[p, p, k]))
+    return np.concatenate(terms, axis=-1)
+
+
+def bracket_terms(subspace: np.ndarray) -> np.ndarray:
+    """All 21 coordinates of the bracket on wedges of the columns of `subspace`."""
+    return certify._wedge_terms(subspace, certify._STRUCTURE)

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
-from _oracles import per_angle_kernel_two_path
+from _oracles import bracket_terms, pair_terms, per_angle_kernel_two_path
 
 from biquot import certify, checks, embeddings, liealg, zeroplane
 
@@ -225,11 +226,52 @@ def _pair_forms(thetas):
     return certify._pair_forms(points, [zeroplane.horizontal_basis(pt) for pt in points])
 
 
+def _gram_gap(factor, terms):
+    """max |L L^T - T T^T| relative to max |T T^T|, per form."""
+    lhs = factor @ np.swapaxes(factor, -1, -2)
+    rhs = terms @ np.swapaxes(terms, -1, -2)
+    return np.max(np.abs(lhs - rhs), axis=(-2, -1)) / np.max(np.abs(rhs), axis=(-2, -1))
+
+
+def test_pair_forms_factor_the_residual_terms():
+    thetas = (0.05, PI12, 0.45, 0.52, 0.60, 1.2)
+    points = [embeddings.point_p(theta) for theta in thetas]
+    bases = [zeroplane.horizontal_basis(pt) for pt in points]
+    forms = certify._pair_forms(points, bases)
+    assert forms.shape == (len(thetas), 105, 47)
+    assert np.all(_gram_gap(forms, pair_terms(points, bases)) <= 1e-13)
+    for row in range(len(thetas)):
+        alone = certify._pair_forms(points[row:row + 1], bases[row:row + 1])
+        assert np.array_equal(alone[0], forms[row])
+
+
+@pytest.mark.parametrize("basis,width", [(certify.p_subspace_basis(), 13),
+                                         (certify.berger_complement_basis(), 10)],
+                         ids=["p", "berger-complement"])
+def test_bracket_forms_keep_every_bracket_coordinate(basis, width):
+    form = certify._bracket_form(basis)
+    assert form.shape == (math.comb(basis.shape[1], 2), width)
+    assert _gram_gap(form, bracket_terms(basis)) <= 1e-13
+
+
+def test_pair_forms_stay_on_the_calling_thread():
+    # a BLAS call split over threads leaves the workers spinning after it
+    # returns, which charges CPU time while this thread sleeps
+    thetas = np.linspace(0.05, 0.6, 50)
+    points = [embeddings.point_p(theta) for theta in thetas]
+    bases = [zeroplane.horizontal_basis(pt) for pt in points]
+    time.sleep(0.3)
+    cpu, wall = time.process_time(), time.perf_counter()
+    certify._pair_forms(points, bases)
+    wall = time.perf_counter() - wall
+    time.sleep(0.3)
+    assert time.process_time() - cpu - wall <= 0.02
+
+
 @pytest.mark.parametrize("forms,group", [
     (_pair_forms((0.05, PI12, 0.45)), np.repeat([0, 1, 2], [61, 70, 69])),
     (_pair_forms((PI12,)), np.zeros(200, dtype=int)),
-    ([certify._compress(certify._wedge_terms(certify.berger_complement_basis(),
-                                             certify._STRUCTURE))], None),
+    (certify._bracket_form(certify.berger_complement_basis())[None], None),
 ], ids=["three-angles", "one-angle", "berger-complement"])
 def test_objective_rows_do_not_depend_on_the_batch(forms, group):
     # the search evaluates only its live frames and compares their values
@@ -335,8 +377,7 @@ def test_bordered_factors_mark_only_the_indefinite_frames():
                                    certify.berger_complement_basis()],
                          ids=["p", "berger-complement"])
 def test_bracket_floor_objective_is_squared_bracket(basis):
-    objective = certify._WedgeObjective(
-        [certify._compress(certify._wedge_terms(basis, certify._STRUCTURE))])
+    objective = certify._WedgeObjective(certify._bracket_form(basis)[None])
     rng = np.random.default_rng(12)
     u = certify._retract(rng.standard_normal((6, basis.shape[1], 2)))
     value = objective.value(u)
@@ -548,6 +589,18 @@ def test_certify_theta_monotone_safety_reference(monkeypatch):
     cert = certify.certify_theta(PI12)
     assert cert.verdict == "inconclusive"
     assert cert.kernel_match_j < certify.KERNEL_MATCH_MIN
+
+
+def test_certify_theta_computes_each_axis_reference_once():
+    certify._one_angle_reference.cache_clear()
+    cert = certify.certify_theta(PI12)
+    assert certify._one_angle_reference.cache_info().misses == 2
+    assert cert == certify.certify_theta(PI12)
+    assert certify._one_angle_reference.cache_info().misses == 2
+    # each caller gets its own copy of the memoized vector
+    certify.kernel_reference(PI12, 1.0)[:] = 0.0
+    assert np.array_equal(certify.kernel_reference(PI12, 1.0),
+                          certify._reference_vectors(PI12, 1.0))
 
 
 def test_certify_theta_inconclusive_on_kernel_error(monkeypatch):

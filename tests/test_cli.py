@@ -202,6 +202,32 @@ def test_scan_negative_seed_exit_one(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_scan_checks_sizes_before_building_the_grid(tmp_path, capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the angle grid was built before --starts was checked")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    out = tmp_path / "huge.csv"
+    code, _, err = run(capsys, ["scan", "--from", "0.1", "--to", "0.2",
+                                "--steps", "100000000000", "--starts", "0", "--out", str(out)])
+    assert code == 1
+    assert "error: starts must be at least 1, got 0" in err
+    assert not out.exists()
+
+
+def test_scan_reports_memory_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(certify, "search_zero_planes", exhausted)
+    out = tmp_path / "oom.csv"
+    code, _, err = run(capsys, ["scan", "--from", "0.1", "--to", "0.2", "--steps", "2",
+                                "--starts", "1", "--iterations", "5", "--out", str(out)])
+    assert code == 1
+    assert err == "error: Unable to allocate 745. GiB for an array\n"
+    assert not out.exists()
+
+
 def test_scan_invalid_range_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, ["scan", "--from", "0.5", "--to", "0.05",
                                 "--steps", "5", "--out", str(tmp_path / "x.csv")])
