@@ -31,7 +31,10 @@ iteration cap.  `search_zero_planes` runs that search for many angles as
 one batched descent.  `bracket_floor` refines its sampled minima of the same
 kind of form, the squared bracket on a subspace, with the same method, to
 certify positive bracket floors, the computable form of "commuting implies
-dependent".
+dependent".  It streams its draws in passes of `_SAMPLE_FRAMES` and scores
+each by the value at the orthonormal pair it spans, which the form's
+biquadratic scaling gives without orthonormalizing the draw; only the best
+`refine_starts` draws are orthonormalized and refined.
 
 Each objective pass cuts the rows of the frames that share a form into
 zero-padded blocks of at most `_BLOCK` rows, a whole number of `_TILE`-row
@@ -47,6 +50,8 @@ orthonormal 2-frames is a closed-form Gram-Schmidt step.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import operator
@@ -394,10 +399,10 @@ def _bracket_form(subspace: np.ndarray) -> np.ndarray:
 # call's row count is a multiple of; the class docstring gives the reasons.
 _BLOCK = 32
 _TILE = 4
-# Most frames per pass of `_WedgeObjective.value` and `.model`.  They bound
-# the temporaries: bracket_floor samples 20,000 frames in one call, and a
-# model pass holds about 40 kB per pair frame.
-_VALUE_FRAMES = 1024
+# Most frames per pass of `_WedgeObjective.model`, which holds about 40 kB
+# per pair frame.  `value` takes its frames in one pass: no caller passes it
+# more than `MAX_DESCENT_FRAMES`, `_SAMPLE_FRAMES` or `bracket_floor`'s
+# refine_starts, and a descent over that many frames holds more per frame.
 _MODEL_FRAMES = 32
 
 
@@ -493,16 +498,11 @@ class _WedgeObjective:
         return None if group is None or len(self.products) == 1 else np.asarray(group, np.intp)
 
     def value(self, coords: np.ndarray, group=None) -> np.ndarray:
-        """Objective at the frames `coords` (n, d, 2)."""
-        group = self._group(group)
-        out = np.empty(len(coords))
-        for first in range(0, len(coords), _VALUE_FRAMES):
-            part = slice(first, first + _VALUE_FRAMES)
-            ay = self._apply(coords[part, :, 1], None if group is None else group[part],
-                             self.products)
-            res = (coords[part, None, :, 0] @ ay.reshape(-1, self.dim, self.rank))[:, 0]
-            out[part] = np.square(res).sum(axis=-1)
-        return out
+        """Objective at the frames `coords` (n, d, 2), bit for bit the value
+        that `model` gives: the Newton ratio test compares the two."""
+        ay = self._apply(coords[:, :, 1], self._group(group), self.products)
+        res = (coords[:, None, :, 0] @ ay.reshape(-1, self.dim, self.rank))[:, 0]
+        return np.square(res).sum(axis=-1)
 
     def model(self, coords: np.ndarray, group=None):
         """Value, Riemannian gradient and Riemannian Hessian of the objective
@@ -555,6 +555,14 @@ def _tangent(comp: np.ndarray, step: np.ndarray) -> np.ndarray:
     return comp @ np.stack([step[:, half:], -step[:, :half]], axis=-1)
 
 
+def _orthogonalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first Gram-Schmidt pass of `_retract`: the first column of the
+    2-frames v (..., d, 2) normalized, and the second minus its part along it."""
+    x = v[..., 0] / np.sqrt(np.einsum("...i,...i->...", v[..., 0], v[..., 0]))[..., None]
+    y = v[..., 1]
+    return x, y - np.einsum("...i,...i->...", x, y)[..., None] * x
+
+
 def _retract(v: np.ndarray) -> np.ndarray:
     """Q factor of the 2-frames v (..., d, 2), up to column signs.
 
@@ -563,10 +571,8 @@ def _retract(v: np.ndarray) -> np.ndarray:
     dependent.  The columns may differ in sign from LAPACK's QR; every
     objective here is even in each column.
     """
-    x = v[..., 0] / np.sqrt(np.einsum("...i,...i->...", v[..., 0], v[..., 0]))[..., None]
-    y = v[..., 1]
-    for _ in range(2):
-        y = y - np.einsum("...i,...i->...", x, y)[..., None] * x
+    x, y = _orthogonalize(v)
+    y = y - np.einsum("...i,...i->...", x, y)[..., None] * x
     y = y / np.sqrt(np.einsum("...i,...i->...", y, y))[..., None]
     return np.stack([x, y], axis=-1)
 
@@ -731,11 +737,37 @@ class SearchReport:
 MAX_DESCENT_FRAMES = 1024
 
 
+# The points computed inside `_sharing_points`, by angle; None outside it.
+_SHARED_POINTS = contextvars.ContextVar("shared_points", default=None)
+
+
+@contextlib.contextmanager
+def _sharing_points():
+    """Within the block, the searches and certificates compute each point
+    p(theta) once and share it: a scan searches its angles, then certifies
+    them."""
+    token = _SHARED_POINTS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_POINTS.reset(token)
+
+
+def _point(theta: float) -> ThetaPoint:
+    """`point_p(theta)`, computed once per angle inside `_sharing_points`."""
+    shared = _SHARED_POINTS.get()
+    if shared is None:
+        return point_p(theta)
+    if theta not in shared:
+        shared[theta] = point_p(theta)
+    return shared[theta]
+
+
 def _search_rows(thetas, starts: int, iterations: int, seeds) -> list[SearchReport]:
     """Search every angle in `thetas`, all starts of all rows in one descent
     when they fit in MAX_DESCENT_FRAMES, and otherwise chunk by chunk of
     each row's starts, keeping each row's first best frame."""
-    points = [point_p(theta) for theta in thetas]
+    points = [_point(theta) for theta in thetas]
     bases = [horizontal_basis(pt) for pt in points]
     for basis in bases:
         if basis.shape[1] != 15:
@@ -865,14 +897,36 @@ def berger_complement_basis() -> np.ndarray:
     return out
 
 
+# Draws per pass of `bracket_floor`'s sampler.  A pass holds about 1.6 kB
+# per draw on the p summand, so 1,024 draws stay within a 2 MB L2 cache;
+# passes of 2,048 and 4,096 draws ran slower.
+_SAMPLE_FRAMES = 1024
+
+
+def _sample_scores(objective: _WedgeObjective, draws: np.ndarray) -> np.ndarray:
+    """The objective at the orthonormalized draws (n, d, 2), without
+    orthonormalizing them: it is biquadratic in (x, y) and depends on y only
+    through x ^ y, so it equals value(x / |x|, y') / |y'|^2, with y' the part
+    of y orthogonal to x.  y' is the first pass of `_retract`, which keeps the
+    score within rounding of the retracted frame's value even for nearly
+    dependent columns."""
+    x, y = _orthogonalize(draws)
+    return objective.value(np.stack([x, y], axis=-1)) / np.einsum("...i,...i->...", y, y)
+
+
 def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
                   refine_starts: int = 32, refine_iterations: int = 300) -> float:
     """Minimized squared bracket norm over orthonormal pairs in a subspace.
 
-    Random orthonormal pairs are sampled first; the best candidates are then
-    refined by the same Newton search the plane search uses, for at most
-    `refine_iterations` iterations each.  A strictly positive floor
-    certifies that commuting pairs in the subspace are dependent.
+    `samples` random pairs are drawn from one normal stream, `_SAMPLE_FRAMES`
+    at a time, and scored by the squared bracket of the orthonormal pair
+    each spans, without orthonormalizing it (`_sample_scores`).  The best
+    `refine_starts` draws are kept as the stream goes by.  Only those are
+    orthonormalized and refined by the same Newton search the plane search
+    uses, for at most `refine_iterations` iterations each.  The floor is the
+    least refined value; refinement never raises a value, so it is at most
+    the least sampled one.  A strictly positive floor certifies that
+    commuting pairs in the subspace are dependent.
     `subspace` holds the coordinates (21, d) of an orthonormal basis, d >= 2,
     with max |B^T B - I| at most 1e-10.
     """
@@ -887,6 +941,8 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
         raise ValueError("subspace must have orthonormal columns, got "
                          f"max |B^T B - I| = {gram_defect:.3e} above 1e-10")
     seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     samples = _integer("samples", samples)
     refine_starts = _integer("refine_starts", refine_starts)
     refine_iterations = _integer("refine_iterations", refine_iterations)
@@ -897,26 +953,15 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
     dim = subspace.shape[1]
     objective = _WedgeObjective(_bracket_form(subspace)[None])
     rng = np.random.default_rng(seed)
-
-    chunk = 20_000
-    best_value = math.inf
-    pool_frames: list[np.ndarray] = []
-    pool_values: list[np.ndarray] = []
-    remaining = samples
-    while remaining > 0:
-        count = min(chunk, remaining)
-        remaining -= count
-        frames = _retract(rng.standard_normal((count, dim, 2)))
-        values = objective.value(frames)
-        best_value = min(best_value, float(values.min()))
-        keep = np.argsort(values)[:refine_starts]
-        pool_frames.append(frames[keep])
-        pool_values.append(values[keep])
-
-    frames = np.concatenate(pool_frames)
-    values = np.concatenate(pool_values)
-    pool = frames[np.argsort(values)[:refine_starts]]
-    return min(best_value, float(_newton_search(objective, pool, refine_iterations).value.min()))
+    pool, scores = np.empty((0, dim, 2)), np.empty(0)
+    for first in range(0, samples, _SAMPLE_FRAMES):
+        draws = rng.standard_normal((min(_SAMPLE_FRAMES, samples - first), dim, 2))
+        pool = np.concatenate([pool, draws])
+        scores = np.concatenate([scores, _sample_scores(objective, draws)])
+        if len(scores) > refine_starts:
+            keep = np.argpartition(scores, refine_starts - 1)[:refine_starts]
+            pool, scores = pool[keep], scores[keep]
+    return float(_newton_search(objective, _retract(pool), refine_iterations).value.min())
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +1008,7 @@ def certify_theta(theta: float) -> Certificate:
     if not 0.0 < theta < np.pi / 2.0:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
 
-    rank = rho_rank(point_p(theta))
+    rank = rho_rank(_point(theta))
 
     dims: dict[str, int] = {}
     matches: dict[str, float] = {}

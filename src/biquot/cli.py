@@ -107,10 +107,11 @@ def cmd_scan(args) -> int:
     certify._search_sizes(args.starts, args.iterations, [args.seed])
 
     thetas = [float(theta) for theta in np.linspace(lo, hi, args.steps)]
-    reports = certify.search_zero_planes(
-        thetas, args.starts, args.iterations,
-        [args.seed + 100003 * row for row in range(args.steps)])
-    certs = [certify.certify_theta(theta) for theta in thetas]
+    with certify._sharing_points():
+        reports = certify.search_zero_planes(
+            thetas, args.starts, args.iterations,
+            [args.seed + 100003 * row for row in range(args.steps)])
+        certs = [certify.certify_theta(theta) for theta in thetas]
     rows = [",".join([
         _fmt(cert.theta),
         str(cert.rho_rank),

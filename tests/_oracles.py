@@ -5,7 +5,8 @@ into and built from grids of scalar Quaternion entries, matrix products are
 accumulated entry by entry, and the thirteen reduced-pair equations are
 written out, with the scalar Quaternion class.  The one-item loops that the
 batched checks replaced are kept here too, to compare the checks against, and
-so are the full residual term matrices that the exact search forms factor.
+so are the full residual term matrices that the exact search forms factor and
+the bracket-floor sampler that orthonormalized every draw.
 """
 
 import math
@@ -158,3 +159,29 @@ def pair_terms(points, bases) -> np.ndarray:
 def bracket_terms(subspace: np.ndarray) -> np.ndarray:
     """All 21 coordinates of the bracket on wedges of the columns of `subspace`."""
     return certify._wedge_terms(subspace, certify._STRUCTURE)
+
+
+def retracted_bracket_floor(subspace: np.ndarray, samples: int, seed: int,
+                            refine_starts: int = 32, refine_iterations: int = 300) -> float:
+    """`certify.bracket_floor` as it sampled before it streamed: every draw
+    orthonormalized and scored in chunks of 20,000, the best `refine_starts`
+    of each chunk ranked by a full sort, and the floor the smaller of the best
+    sample and the best refined frame."""
+    objective = certify._WedgeObjective(certify._bracket_form(subspace)[None])
+    rng = np.random.default_rng(seed)
+    best_value = math.inf
+    pool_frames, pool_values = [], []
+    remaining = samples
+    while remaining > 0:
+        count = min(20_000, remaining)
+        remaining -= count
+        frames = certify._retract(rng.standard_normal((count, subspace.shape[1], 2)))
+        values = objective.value(frames)
+        best_value = min(best_value, float(values.min()))
+        keep = np.argsort(values)[:refine_starts]
+        pool_frames.append(frames[keep])
+        pool_values.append(values[keep])
+    frames = np.concatenate(pool_frames)
+    pool = frames[np.argsort(np.concatenate(pool_values))[:refine_starts]]
+    refined = certify._newton_search(objective, pool, refine_iterations).value
+    return min(best_value, float(refined.min()))

@@ -4,7 +4,8 @@ import time
 
 import numpy as np
 import pytest
-from _oracles import bracket_terms, pair_terms, per_angle_kernel_two_path
+from _oracles import (bracket_terms, pair_terms, per_angle_kernel_two_path,
+                      retracted_bracket_floor)
 
 from biquot import certify, checks, embeddings, liealg, zeroplane
 
@@ -205,7 +206,8 @@ def test_batched_objective_gradient_and_residuals():
     rng = np.random.default_rng(4)
     u = certify._retract(rng.standard_normal((angle.size, 15, 2)))
     value = objective.model(u, angle)[0]
-    # bracket_floor ranks samples by `value` and refines them by `model`
+    # the Newton ratio test compares `value` at a trial frame with `model`'s
+    # value at the current one, so the two must agree bit for bit
     assert np.array_equal(objective.value(u, angle), value)
 
     for frame, a in enumerate(angle):
@@ -488,6 +490,51 @@ def test_bracket_floor_quick():
     assert 1e-6 <= berger <= 0.4 + 1e-6
 
 
+BRACKET_BASES = {"p": certify.p_subspace_basis(),
+                 "berger-complement": certify.berger_complement_basis()}
+
+
+@pytest.mark.parametrize("subspace,seed,samples,refine_starts", [
+    ("p", 909, 100_000, 32),
+    ("berger-complement", 910, 100_000, 32),
+    ("p", 1009, 100_000, 32),
+    ("berger-complement", 1010, 100_000, 32),
+    ("p", 7, 3 * certify._SAMPLE_FRAMES + 5, 5),
+    ("berger-complement", 8, 20, 32),
+], ids=["p-909", "berger-910", "p-1009", "berger-1010", "p-ragged-pass", "berger-few-samples"])
+def test_bracket_floor_matches_the_retracting_sampler(subspace, seed, samples, refine_starts):
+    basis = BRACKET_BASES[subspace]
+    streamed = certify.bracket_floor(basis, samples=samples, seed=seed,
+                                     refine_starts=refine_starts)
+    assert streamed == retracted_bracket_floor(basis, samples, seed, refine_starts)
+
+
+@pytest.mark.parametrize("subspace", BRACKET_BASES)
+def test_sample_scores_are_the_retracted_values(subspace):
+    basis = BRACKET_BASES[subspace]
+    objective = certify._WedgeObjective(certify._bracket_form(basis)[None])
+    rng = np.random.default_rng(31)
+    draws = rng.standard_normal((400, basis.shape[1], 2))
+    # the second half: columns 1e-6 rad apart, of unequal lengths
+    x = certify._retract(draws[200:])
+    draws[200:, :, 1] = (math.cos(1e-6) * x[..., 0] + math.sin(1e-6) * x[..., 1]) * 3.0
+    draws[200:, :, 0] = x[..., 0] * 0.5
+    expected = objective.value(certify._retract(draws))
+    assert np.max(np.abs(certify._sample_scores(objective, draws) / expected - 1.0)) <= 1e-12
+
+
+def test_sampler_passes_reproduce_one_stream(monkeypatch):
+    frames, dim = certify._SAMPLE_FRAMES, 8
+    rng = np.random.default_rng(909)
+    passes = [rng.standard_normal((count, dim, 2)) for count in (frames, frames, 37)]
+    whole = np.random.default_rng(909).standard_normal((2 * frames + 37, dim, 2))
+    assert np.array_equal(np.concatenate(passes), whole)
+    basis = certify.p_subspace_basis()
+    floor = certify.bracket_floor(basis, samples=2000, seed=3, refine_starts=4)
+    monkeypatch.setattr(certify, "_SAMPLE_FRAMES", 3)
+    assert certify.bracket_floor(basis, samples=2000, seed=3, refine_starts=4) == floor
+
+
 def _skewed_p_basis():
     """Unit columns spanning the p summand, the second at 45 degrees to the first."""
     basis = certify.p_subspace_basis().copy()
@@ -499,6 +546,7 @@ def _skewed_p_basis():
     pytest.param("samples", 0, "must be at least", id="samples-0"),
     pytest.param("refine_starts", 0, "must be at least", id="refine_starts-0"),
     pytest.param("refine_iterations", -1, "must be at least", id="refine_iterations--1"),
+    pytest.param("seed", -1, "must be non-negative, got -1", id="seed--1"),
     pytest.param("subspace", np.eye(21)[:, :1], "must be a 2-D array", id="subspace-1-column"),
     pytest.param("subspace", np.eye(21)[:, :0], "must be a 2-D array", id="subspace-0-columns"),
     pytest.param("subspace", np.eye(5), "must be a 2-D array", id="subspace-5-rows"),

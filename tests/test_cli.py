@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biquot
-from biquot import certify, cli, embeddings
+from biquot import certify, checks, cli, embeddings
 
 
 def run(capsys, argv):
@@ -228,6 +229,26 @@ def test_scan_reports_memory_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_scan_computes_each_point_once(tmp_path, capsys, monkeypatch):
+    computed = []
+
+    def counted(theta):
+        computed.append(theta)
+        return embeddings.point_p(theta)
+
+    monkeypatch.setattr(certify, "point_p", counted)
+    out = tmp_path / "points.csv"
+    code, _, _ = run(capsys, ["scan", "--from", "0.05", "--to", "0.5", "--steps", "50",
+                              "--starts", "1", "--iterations", "2", "--out", str(out)])
+    assert code == 0
+    assert len(computed) == len(set(computed)) == 50
+    assert certify._SHARED_POINTS.get() is None
+    # nothing outlives the scan: a certificate then computes its own point
+    theta = float(out.read_text().splitlines()[8].split(",")[0])
+    certify.certify_theta(theta)
+    assert computed[50:] == [theta]
+
+
 def test_scan_invalid_range_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, ["scan", "--from", "0.5", "--to", "0.05",
                                 "--steps", "5", "--out", str(tmp_path / "x.csv")])
@@ -282,6 +303,21 @@ def test_selftest_passes_and_is_reproducible(capsys):
     assert "plus-sin" in first_out
     assert "positivity-floors" in first_out
     assert first_out.count("FAIL") == 0
+
+
+@pytest.mark.parametrize("suite", checks.SELFTEST_SUITES,
+                         ids=lambda suite: suite.__name__.removeprefix("_suite_"))
+def test_selftest_suite_traced_peak_is_at_most_3_mb(suite):
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 3e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_selftest_detects_injected_sign_flip(capsys, monkeypatch):
