@@ -8,17 +8,15 @@ theta in (0, pi/6) has vanishing curvature for the deformed quotient metric.
 
 from .certify import (
     Certificate,
-    KernelSolution,
     SearchReport,
     bracket_floor,
     build_linear_system,
     certify_theta,
     identity_suite,
     kernel_reference,
-    kernel_solution,
     kernel_solutions,
+    scan,
     search_zero_plane,
-    search_zero_planes,
     sign_certificate,
 )
 from .embeddings import (

@@ -6,12 +6,14 @@ homogeneous linear system.  The kernel chain is batched over angles:
 `build_linear_system` stacks the systems, `kernel_solutions` extracts their
 null spaces with one stacked singular value decomposition, and
 `reference_match` compares them with the closed-form null vectors of
-`kernel_reference`; `kernel_solution` is the one-angle case.  Each matrix
-of a stacked SVD is factored on its own, so a batch's dimensions and
-coordinates equal the one-angle results bit for bit.  `sign_certificate`
-checks that the surviving line violates the one remaining quadratic
-equation, which rules the plane out.  The sign convention baked into the
-system's fourth row is epsilon = +1 for ell = j and -1 for ell = k.
+`kernel_reference`.  Each matrix of a stacked SVD is factored on its own,
+so a batch's dimensions and coordinates equal the one-angle results bit
+for bit.  `sign_certificate` checks that the surviving line violates the
+one remaining quadratic equation, which rules the plane out.  The sign
+convention baked into the system's fourth row is epsilon = +1 for ell = j
+and -1 for ell = k.  `certify_theta` assembles the certificate at one
+angle; `scan` certifies and searches a grid of angles, the certificates in
+one batched pass, and computes each point p(theta) once for both.
 
 `search_zero_plane` is the independent numerical check: it minimizes the
 squared commutation residuals of conditions (B) and (C) over 2-planes inside
@@ -27,8 +29,8 @@ terms span the rest, and a 47 x 47 Cholesky factor per angle turns them into
 a factor of the full form, with no SVD and no rank tolerance.  Each start
 runs a Riemannian Newton method with a per-frame Levenberg shift until its
 gradient norm falls below `GRAD_TOL`, it stalls, or it reaches the
-iteration cap.  `search_zero_planes` runs that search for many angles as
-one batched descent.  `bracket_floor` refines its sampled minima of the same
+iteration cap.  `scan` runs that search for all its angles as batched
+descents.  `bracket_floor` refines its sampled minima of the same
 kind of form, the squared bracket on a subspace, with the same method, to
 certify positive bracket floors, the computable form of "commuting implies
 dependent".  It streams its draws in passes of `_SAMPLE_FRAMES` and scores
@@ -50,9 +52,6 @@ orthonormal 2-frames is a closed-form Gram-Schmidt step.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -68,7 +67,6 @@ from .zeroplane import horizontal_basis
 __all__ = [
     "Certificate",
     "IdentityCheck",
-    "KernelSolution",
     "SearchReport",
     "berger_complement_basis",
     "bracket_floor",
@@ -76,12 +74,11 @@ __all__ = [
     "certify_theta",
     "identity_suite",
     "kernel_reference",
-    "kernel_solution",
     "kernel_solutions",
     "p_subspace_basis",
     "reference_match",
+    "scan",
     "search_zero_plane",
-    "search_zero_planes",
     "sign_certificate",
 ]
 
@@ -141,89 +138,60 @@ def kernel_reference(theta, epsilon: float) -> np.ndarray:
     """Closed-form null vector of the single-axis system, batched over theta.
 
     Component order matches `build_linear_system`; the gauge has
-    (x2) = -sqrt(3) cos(theta).  A one-angle call returns a copy of a
-    memoized vector: `certify_theta` reads each axis's vector for its match
-    and for the sign test, and the j vector again for the lambda note.
+    (x2) = -sqrt(3) cos(theta).
     """
     if epsilon not in (1.0, -1.0, 1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon!r}")
-    if np.ndim(theta):
-        return _reference_vectors(theta, float(epsilon))
-    return _one_angle_reference(float(theta), float(epsilon)).copy()
+    return _reference_vectors(theta, float(epsilon))
 
 
 def _reference_vectors(theta, eps: float) -> np.ndarray:
+    # products, not powers: numpy rounds c**3 of an array and of a scalar
+    # differently, and a batch must equal its one-angle calls bit for bit
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
     t = np.tan(theta)
+    c2 = c * c
+    c3 = c2 * c
     return np.stack([
-        -3.0 * c * ((2.0 + eps) * c**2 - 4.0 * c + 2.0),
+        -3.0 * c * ((2.0 + eps) * c2 - 4.0 * c + 2.0),
         -_R3 * c,
         3.0 * eps * c,
-        -3.0 * (c - 1.0) * ((2.0 + eps) * c**2 + (eps - 2.0) * c - 2.0),
-        -3.0 * t * ((2.0 + eps) * c**3 - 4.0 * c**2 + 2.0),
+        -3.0 * (c - 1.0) * ((2.0 + eps) * c2 + (eps - 2.0) * c - 2.0),
+        -3.0 * t * ((2.0 + eps) * c3 - 4.0 * c2 + 2.0),
         -_R3 * s,
-        6.0 * t**2 * ((2.0 + eps) * c**3 - 4.0 * c**2 + 1.0),
+        6.0 * (t * t) * ((2.0 + eps) * c3 - 4.0 * c2 + 1.0),
     ], axis=-1)
 
 
-_one_angle_reference = functools.lru_cache(maxsize=4)(_reference_vectors)
-
-
-@dataclass(frozen=True)
-class KernelSolution:
-    """Gauge-normalized null vectors (..., 7) of the single-axis systems."""
-
-    ell: str
-    epsilon: float
-    coords: np.ndarray
-
-
-def kernel_solutions(theta, ell: str) -> tuple[np.ndarray, KernelSolution]:
-    """Null-space dimensions and gauge-normalized basis vectors, batched over
-    theta, from one stacked SVD.
+def kernel_solutions(theta, ell: str) -> tuple[np.ndarray, np.ndarray]:
+    """Null-space dimensions and gauge-normalized basis vectors (..., 7),
+    batched over theta, from one stacked SVD.
 
     Each dimension counts, at tolerance 1e-10, the vanishing entries of the
     seven-value spectrum of its system as a map on R^7 (six computed singular
     values plus the structural zero).  The count is only trustworthy with a
-    gap above it, so a second-smallest computed singular value below 1e-6 is
-    reported as an error, as is a null vector with no (x2) component to fix
-    the gauge by.  A batch raises the error that the first such angle, in
-    theta's flattened order, raises alone.
+    gap above it, so an angle whose second-smallest computed singular value
+    is below 1e-6, or whose null vector has no (x2) component to fix the
+    gauge by, gets dimension 0 and NaN coordinates.
     """
-    eps = _epsilon(ell)
     # the gufunc behind np.linalg.svd (not public API), called directly: the
     # wrapper's checks cost about a third of a one-angle call
     _, svals, vt = _umath_linalg.svd_f(build_linear_system(theta, ell), signature="d->ddd")
     vectors = vt[..., -1, :]
-    gaps = svals[..., 4]
     # the rows of vt are unit vectors; the NaN an SVD that fails to converge
     # leaves fails both tests
-    ok = (gaps >= KERNEL_GAP_TOL) & (np.abs(vectors[..., 1]) >= 1e-12)
-    if not ok.all():
-        gap = np.ravel(gaps)[np.flatnonzero(~ok)[0]]
-        if not gap >= KERNEL_GAP_TOL:
-            raise ValueError(f"ill-conditioned null-space gap: fifth singular value {gap:.3e}")
-        raise ValueError("kernel vector has no (x2) component; gauge undefined")
+    ok = (svals[..., 4] >= KERNEL_GAP_TOL) & (np.abs(vectors[..., 1]) >= 1e-12)
     # above the gap only the sixth computed value can vanish
-    dimensions = (svals[..., 5] <= KERNEL_SV_TOL) + 1
-    gauge = -_R3 * np.cos(theta)
-    coords = vectors * (gauge / vectors[..., 1])[..., None]
-    return dimensions, KernelSolution(ell=ell, epsilon=eps, coords=coords)
+    dimensions = np.where(ok, (svals[..., 5] <= KERNEL_SV_TOL) + 1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coords = vectors * (-_R3 * np.cos(theta) / vectors[..., 1])[..., None]
+    return dimensions, np.where(ok[..., None], coords, np.nan)
 
 
-def kernel_solution(theta: float, ell: str) -> tuple[int, KernelSolution]:
-    """Null-space dimension and gauge-normalized basis vector at one angle:
-    the one-angle case of `kernel_solutions`."""
-    dimension, solution = kernel_solutions(float(theta), ell)
-    return int(dimension), solution
-
-
-def reference_match(theta, solution: KernelSolution):
-    """|cosine| between kernel vectors and the closed form on their axis,
-    batched over theta; a float at one angle."""
-    reference = kernel_reference(theta, solution.epsilon)
-    coords = solution.coords
+def reference_match(coords: np.ndarray, reference: np.ndarray):
+    """|cosine| between kernel vectors (..., 7) and the closed-form vectors
+    `reference` of `kernel_reference` on their axis; a float for one pair."""
     denom = np.sqrt(np.vecdot(coords, coords)) * np.sqrt(np.vecdot(reference, reference))
     match = np.abs(np.vecdot(coords, reference)) / denom
     return match if np.ndim(match) else float(match)
@@ -240,8 +208,9 @@ def reduced_pair_from_axis(coords: np.ndarray, ell: str) -> np.ndarray:
     return pair
 
 
-def sign_certificate(theta: float) -> bool:
-    """True when, on both axis lines, the kernel forces y1 (x1 - x4) < 0.
+def sign_certificate(theta):
+    """True where, on both axis lines, the kernel forces y1 (x1 - x4) < 0,
+    batched over theta in (0, pi/6); a bool at one angle.
 
     All kernel components sit on the axis ell, so the quaternion product
     y1 (x1 - x4) equals minus the product of the real components; it is a
@@ -249,14 +218,16 @@ def sign_certificate(theta: float) -> bool:
     (1) would force the same quantity to be +tan(theta) |x2|^2 > 0, so a
     True certificate leaves no nonzero single-axis solution.
     """
-    theta = float(theta)
-    if not 0.0 < theta < np.pi / 6.0:
-        raise ValueError(f"sign certificate is stated on (0, pi/6), got {theta!r}")
+    theta = np.asarray(theta, dtype=float)
+    inside = (0.0 < theta) & (theta < np.pi / 6.0)
+    if not inside.all():
+        first = float(np.extract(~inside, theta)[0])
+        raise ValueError(f"sign certificate is stated on (0, pi/6), got {first!r}")
+    holds = True
     for eps in (1.0, -1.0):
-        ref = kernel_reference(theta, eps)
-        if not ref[4] * (ref[0] - ref[3]) > 0.0:
-            return False
-    return True
+        ref = _reference_vectors(theta, eps)
+        holds = holds & (ref[..., 4] * (ref[..., 0] - ref[..., 3]) > 0.0)
+    return holds if np.ndim(holds) else bool(holds)
 
 
 # ---------------------------------------------------------------------------
@@ -737,44 +708,23 @@ class SearchReport:
 MAX_DESCENT_FRAMES = 1024
 
 
-# The points computed inside `_sharing_points`, by angle; None outside it.
-_SHARED_POINTS = contextvars.ContextVar("shared_points", default=None)
+def _search_rows(points: list[ThetaPoint], starts: int, iterations: int,
+                 seeds: list[int]) -> list[SearchReport]:
+    """Search at every point, row r drawing its start frames from
+    seeds[r] + index, as `search_zero_plane` at that point alone would.
 
-
-@contextlib.contextmanager
-def _sharing_points():
-    """Within the block, the searches and certificates compute each point
-    p(theta) once and share it: a scan searches its angles, then certifies
-    them."""
-    token = _SHARED_POINTS.set({})
-    try:
-        yield
-    finally:
-        _SHARED_POINTS.reset(token)
-
-
-def _point(theta: float) -> ThetaPoint:
-    """`point_p(theta)`, computed once per angle inside `_sharing_points`."""
-    shared = _SHARED_POINTS.get()
-    if shared is None:
-        return point_p(theta)
-    if theta not in shared:
-        shared[theta] = point_p(theta)
-    return shared[theta]
-
-
-def _search_rows(thetas, starts: int, iterations: int, seeds) -> list[SearchReport]:
-    """Search every angle in `thetas`, all starts of all rows in one descent
-    when they fit in MAX_DESCENT_FRAMES, and otherwise chunk by chunk of
-    each row's starts, keeping each row's first best frame."""
-    points = [_point(theta) for theta in thetas]
+    Rows go through the descent in consecutive groups of at most
+    `MAX_DESCENT_FRAMES` frames; a row with more starts goes alone, its
+    starts in consecutive chunks of at most that many, keeping the row's
+    first best frame.  Every frame descends independently, so each report
+    matches the one-angle search.
+    """
     bases = [horizontal_basis(pt) for pt in points]
     for basis in bases:
         if basis.shape[1] != 15:
             raise ValueError(
                 f"degenerate horizontal space of dimension {basis.shape[1]}, expected 15")
-    objective = _WedgeObjective(_pair_forms(points, bases))
-    rows = len(thetas)
+    rows = len(points)
     best = np.full(rows, math.inf)
     best_frame = np.zeros((rows, 15, 2))
     best_grad = np.zeros(rows)
@@ -782,30 +732,34 @@ def _search_rows(thetas, starts: int, iterations: int, seeds) -> list[SearchRepo
     converged = np.zeros(rows, dtype=np.intp)
     stalled = np.zeros(rows, dtype=np.intp)
     per_chunk = min(starts, MAX_DESCENT_FRAMES)
-    for first in range(0, starts, per_chunk):
-        count = min(per_chunk, starts - first)
-        u0 = np.stack([
-            np.random.default_rng(seed + index).standard_normal((15, 2))
-            for seed in seeds for index in range(first, first + count)
-        ])
-        run = _newton_search(objective, _retract(u0), iterations,
-                             np.repeat(np.arange(rows), count))
-        for row in range(rows):
-            span = slice(row * count, (row + 1) * count)
-            pick = row * count + int(np.argmin(run.value[span]))
-            if run.value[pick] < best[row]:
-                best[row] = run.value[pick]
-                best_frame[row] = run.frames[pick]
-                best_grad[row] = run.grad_norm[pick]
-            used[row] = max(used[row], int(run.iterations[span].max()))
-            converged[row] += int(np.sum(run.outcome[span] == _CONVERGED))
-            stalled[row] += int(np.sum(run.outcome[span] == _STALLED))
+    per_group = max(1, MAX_DESCENT_FRAMES // starts)
+    for low in range(0, rows, per_group):
+        group = range(low, min(low + per_group, rows))
+        objective = _WedgeObjective(_pair_forms(points[low:group.stop], bases[low:group.stop]))
+        for first in range(0, starts, per_chunk):
+            count = min(per_chunk, starts - first)
+            u0 = np.stack([
+                np.random.default_rng(seeds[row] + index).standard_normal((15, 2))
+                for row in group for index in range(first, first + count)
+            ])
+            run = _newton_search(objective, _retract(u0), iterations,
+                                 np.repeat(np.arange(len(group)), count))
+            for at, row in enumerate(group):
+                span = slice(at * count, (at + 1) * count)
+                pick = at * count + int(np.argmin(run.value[span]))
+                if run.value[pick] < best[row]:
+                    best[row] = run.value[pick]
+                    best_frame[row] = run.frames[pick]
+                    best_grad[row] = run.grad_norm[pick]
+                used[row] = max(used[row], int(run.iterations[span].max()))
+                converged[row] += int(np.sum(run.outcome[span] == _CONVERGED))
+                stalled[row] += int(np.sum(run.outcome[span] == _STALLED))
 
     reports = []
-    for row, (theta, basis) in enumerate(zip(thetas, bases)):
+    for row, (pt, basis) in enumerate(zip(points, bases)):
         coords = basis @ best_frame[row]
         reports.append(SearchReport(
-            theta=theta,
+            theta=pt.theta,
             starts=starts,
             iterations=iterations,
             min_residual=float(math.sqrt(max(float(best[row]), 0.0))),
@@ -826,40 +780,17 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _search_sizes(starts, iterations, seeds) -> tuple[int, int, list[int]]:
+def _search_sizes(starts, iterations, seed) -> tuple[int, int, int]:
     starts = _integer("starts", starts)
     iterations = _integer("iterations", iterations)
-    seeds = [_integer("seed", seed) for seed in seeds]
+    seed = _integer("seed", seed)
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts!r}")
     if iterations < 0:
         raise ValueError(f"iterations must be non-negative, got {iterations!r}")
-    for seed in seeds:
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed!r}")
-    return starts, iterations, seeds
-
-
-def search_zero_planes(thetas, starts: int, iterations: int, seeds) -> list[SearchReport]:
-    """`search_zero_plane` at every angle of `thetas`, run as one batched descent.
-
-    Angle r draws its start frames from seeds[r] + index, exactly as
-    `search_zero_plane(thetas[r], starts, iterations, seeds[r])` would, and
-    every frame descends independently, so each report matches the
-    one-angle search.  Rows go through the descent in consecutive groups of
-    at most `MAX_DESCENT_FRAMES` frames; a row with more starts goes alone,
-    its starts in consecutive chunks of at most that many.
-    """
-    starts, iterations, seeds = _search_sizes(starts, iterations, seeds)
-    thetas = [float(theta) for theta in thetas]
-    if len(seeds) != len(thetas):
-        raise ValueError(f"got {len(seeds)} seeds for {len(thetas)} angles")
-    group = max(1, MAX_DESCENT_FRAMES // starts)
-    reports: list[SearchReport] = []
-    for first in range(0, len(thetas), group):
-        reports += _search_rows(thetas[first:first + group], starts, iterations,
-                                seeds[first:first + group])
-    return reports
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    return starts, iterations, seed
 
 
 def search_zero_plane(theta: float, starts: int = 200, iterations: int = 500,
@@ -872,8 +803,8 @@ def search_zero_plane(theta: float, starts: int = 200, iterations: int = 500,
     reported residual is the g0 norm of the stacked commutators at the best
     frame found.
     """
-    starts, iterations, seeds = _search_sizes(starts, iterations, [seed])
-    return _search_rows([float(theta)], starts, iterations, seeds)[0]
+    starts, iterations, seed = _search_sizes(starts, iterations, seed)
+    return _search_rows([point_p(theta)], starts, iterations, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -982,65 +913,71 @@ class Certificate:
     lambda_case_note: float | None
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "rho_rank": self.rho_rank,
-            "kernel_dim_j": self.kernel_dim_j,
-            "kernel_dim_k": self.kernel_dim_k,
-            "kernel_match_j": self.kernel_match_j,
-            "kernel_match_k": self.kernel_match_k,
-            "sign_ok": self.sign_ok,
-            "lambda_case_note": self.lambda_case_note,
-            "verdict": self.verdict,
-        }
+
+def _certificates(points: list[ThetaPoint]) -> list[Certificate]:
+    """The algebraic certificates at the points p(theta), theta in (0, pi/2),
+    from one `kernel_solutions` and one `kernel_reference` call per axis and
+    one `sign_certificate` call on the angles below pi/6.
+
+    A verdict is positive only when the corner map has full rank, both axis
+    kernels are one-dimensional and match the closed form, the sign
+    certificate holds, and theta lies in (0, pi/6); anything else, including
+    an ill-conditioned kernel (dimension 0, match 0), is inconclusive.
+    """
+    thetas = np.array([pt.theta for pt in points])
+    window = thetas < np.pi / 6.0
+    sign_ok = np.zeros(len(points), dtype=bool)
+    sign_ok[window] = sign_certificate(thetas[window])
+    dims, matches, refs = {}, {}, {}
+    for ell, eps in EPSILON_BY_ELL.items():
+        dims[ell], coords = kernel_solutions(thetas, ell)
+        refs[ell] = kernel_reference(thetas, eps)
+        matches[ell] = np.where(dims[ell] > 0, reference_match(coords, refs[ell]), 0.0)
+    certs = []
+    for row, pt in enumerate(points):
+        rank = rho_rank(pt)
+        ref_j = refs["j"][row]
+        positive = (rank == 3 and sign_ok[row]
+                    and all(dims[ell][row] == 1 and matches[ell][row] >= KERNEL_MATCH_MIN
+                            for ell in EPSILON_BY_ELL))
+        certs.append(Certificate(
+            theta=pt.theta,
+            rho_rank=rank,
+            kernel_dim_j=int(dims["j"][row]),
+            kernel_dim_k=int(dims["k"][row]),
+            kernel_match_j=float(matches["j"][row]),
+            kernel_match_k=float(matches["k"][row]),
+            sign_ok=bool(sign_ok[row]),
+            lambda_case_note=float(ref_j[6] / ref_j[3]) if abs(ref_j[3]) > 1e-12 else None,
+            verdict=VERDICT_POSITIVE if positive else VERDICT_INCONCLUSIVE,
+        ))
+    return certs
 
 
 def certify_theta(theta: float) -> Certificate:
-    """Assemble the algebraic certificate at theta in (0, pi/2).
+    """The algebraic certificate at theta in (0, pi/2): `_certificates` at
+    the one point p(theta)."""
+    return _certificates([point_p(theta)])[0]
 
-    The verdict is positive only when the corner map has full rank, both
-    axis kernels are one-dimensional and match the closed form, the sign
-    certificate holds, and theta lies in (0, pi/6); anything else, including
-    an ill-conditioned kernel, is inconclusive.
+
+def scan(lo: float, hi: float, steps: int, starts: int, iterations: int,
+         seed: int) -> list[tuple[Certificate, SearchReport]]:
+    """Certificate and residual search at `steps` evenly spaced angles from
+    lo to hi, 0 < lo < hi < pi/2, each point p(theta) computed once.
+
+    Row r searches with seed + 100003 r.  The range, the sizes and the seed
+    are checked before the grid is built, so a bad size never waits on, or
+    fails in, an allocation of `steps` angles.
     """
-    theta = float(theta)
-    if not 0.0 < theta < np.pi / 2.0:
-        raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
-
-    rank = rho_rank(_point(theta))
-
-    dims: dict[str, int] = {}
-    matches: dict[str, float] = {}
-    for ell in ("j", "k"):
-        try:
-            dims[ell], solution = kernel_solution(theta, ell)
-            matches[ell] = reference_match(theta, solution)
-        except ValueError:
-            dims[ell] = 0
-            matches[ell] = 0.0
-
-    in_window = theta < np.pi / 6.0
-    sign_ok = bool(sign_certificate(theta)) if in_window else False
-
-    ref_j = kernel_reference(theta, 1.0)
-    lambda_note = float(ref_j[6] / ref_j[3]) if abs(ref_j[3]) > 1e-12 else None
-
-    positive = (
-        rank == 3
-        and dims["j"] == 1 and dims["k"] == 1
-        and matches["j"] >= KERNEL_MATCH_MIN and matches["k"] >= KERNEL_MATCH_MIN
-        and sign_ok
-        and in_window
-    )
-    return Certificate(
-        theta=theta,
-        rho_rank=rank,
-        kernel_dim_j=dims["j"],
-        kernel_dim_k=dims["k"],
-        kernel_match_j=matches["j"],
-        kernel_match_k=matches["k"],
-        sign_ok=sign_ok,
-        lambda_case_note=lambda_note,
-        verdict=VERDICT_POSITIVE if positive else VERDICT_INCONCLUSIVE,
-    )
+    lo, hi = float(lo), float(hi)
+    if not (0.0 < lo < hi < math.pi / 2.0):
+        raise ValueError(f"scan range must satisfy 0 < from < to < pi/2, "
+                         f"got from={lo!r} to={hi!r}")
+    steps = _integer("steps", steps)
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps!r}")
+    starts, iterations, seed = _search_sizes(starts, iterations, seed)
+    points = [point_p(theta) for theta in np.linspace(lo, hi, steps)]
+    reports = _search_rows(points, starts, iterations,
+                           [seed + 100003 * row for row in range(steps)])
+    return list(zip(_certificates(points), reports))

@@ -174,10 +174,10 @@ def kernel_two_path(points: int) -> tuple[set[int], float]:
     both axes over `points` angles in (0, pi/6): one stacked SVD per axis."""
     thetas = np.linspace(0.01, np.pi / 6.0 - 0.01, points)
     dims, matches = set(), []
-    for ell in ("j", "k"):
-        found, solutions = certify.kernel_solutions(thetas, ell)
+    for ell, eps in certify.EPSILON_BY_ELL.items():
+        found, coords = certify.kernel_solutions(thetas, ell)
         dims.update(found.tolist())
-        matches.append(certify.reference_match(thetas, solutions))
+        matches.append(certify.reference_match(coords, certify.kernel_reference(thetas, eps)))
     return dims, float(np.min(matches))
 
 

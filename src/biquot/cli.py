@@ -7,12 +7,11 @@ inconclusive verdict, 1 for usage or internal errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import certify, checks
 
@@ -31,9 +30,11 @@ def _bool(x: bool) -> str:
 
 
 def _require_output_dir(path: str) -> None:
-    """Fail before any work when `path` is a directory or the directory meant
-    to hold it is missing; the file itself is written only once every result
-    is computed."""
+    """Fail before any work when `path` is empty, is a directory, or the
+    directory meant to hold it is missing; the file itself is written only
+    once every result is computed."""
+    if not path:
+        raise ValueError("output path is empty")
     if os.path.isdir(path):
         raise ValueError(f"output path {path!r} is a directory")
     directory = os.path.dirname(os.path.abspath(path))
@@ -46,7 +47,7 @@ def _require_output_dir(path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    if args.json:
+    if args.json is not None:
         _require_output_dir(args.json)
     theta = math.radians(args.theta) if args.degrees else float(args.theta)
     report = None
@@ -71,8 +72,8 @@ def cmd_check(args) -> int:
               f"min residual = {_fmt(report.min_residual)}")
     print(f"verdict: {cert.verdict}")
 
-    if args.json:
-        payload = cert.to_dict()
+    if args.json is not None:
+        payload = dataclasses.asdict(cert)
         payload["search"] = None if report is None else {
             "starts": report.starts,
             "iterations": report.iterations,
@@ -97,21 +98,6 @@ def cmd_scan(args) -> int:
     _require_output_dir(args.out)
     lo = math.radians(args.theta_from) if args.degrees else float(args.theta_from)
     hi = math.radians(args.theta_to) if args.degrees else float(args.theta_to)
-    if not (0.0 < lo < hi < math.pi / 2.0):
-        raise ValueError(f"scan range must satisfy 0 < from < to < pi/2, "
-                         f"got from={lo!r} to={hi!r}")
-    if args.steps < 2:
-        raise ValueError(f"steps must be at least 2, got {args.steps!r}")
-    # the search's own checks, before the grid is built: a bad size must not
-    # wait on, or fail in, an allocation of --steps angles
-    certify._search_sizes(args.starts, args.iterations, [args.seed])
-
-    thetas = [float(theta) for theta in np.linspace(lo, hi, args.steps)]
-    with certify._sharing_points():
-        reports = certify.search_zero_planes(
-            thetas, args.starts, args.iterations,
-            [args.seed + 100003 * row for row in range(args.steps)])
-        certs = [certify.certify_theta(theta) for theta in thetas]
     rows = [",".join([
         _fmt(cert.theta),
         str(cert.rho_rank),
@@ -122,7 +108,8 @@ def cmd_scan(args) -> int:
         _bool(cert.sign_ok),
         _fmt(report.min_residual),
         cert.verdict,
-    ]) for cert, report in zip(certs, reports)]
+    ]) for cert, report in certify.scan(lo, hi, args.steps, args.starts,
+                                        args.iterations, args.seed)]
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")

@@ -129,14 +129,15 @@ def per_pair_quaternion_algebra(rng: np.random.Generator, pairs: int) -> float:
 
 
 def per_angle_kernel_two_path(points: int) -> tuple[set[int], float]:
-    """`checks.kernel_two_path` with one `certify.kernel_solution` call and one
-    `certify.reference_match` call per angle and axis."""
+    """`checks.kernel_two_path` with one-angle `certify.kernel_solutions`,
+    `certify.kernel_reference` and `certify.reference_match` calls."""
     dims, matches = set(), []
     for theta in np.linspace(0.01, np.pi / 6.0 - 0.01, points):
-        for ell in ("j", "k"):
-            dim, solution = certify.kernel_solution(float(theta), ell)
-            dims.add(dim)
-            matches.append(certify.reference_match(float(theta), solution))
+        for ell, eps in certify.EPSILON_BY_ELL.items():
+            dim, coords = certify.kernel_solutions(float(theta), ell)
+            dims.add(int(dim))
+            matches.append(certify.reference_match(
+                coords, certify.kernel_reference(float(theta), eps)))
     return dims, float(np.min(matches))
 
 

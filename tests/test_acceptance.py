@@ -71,18 +71,19 @@ def test_criterion_04_equivalence_suite():
 
 def test_criterion_05_kernel_reproduction():
     for theta in (np.pi / 24.0, PI12, 0.5):
-        for ell in ("j", "k"):
-            dim, sol = certify.kernel_solution(theta, ell)
+        for ell, eps in certify.EPSILON_BY_ELL.items():
+            dim, coords = certify.kernel_solutions(theta, ell)
             assert dim == 1
             svals = np.linalg.svd(certify.build_linear_system(theta, ell),
                                   compute_uv=False)
             spectrum = np.append(svals, 0.0)
             assert np.sum(spectrum <= 1e-10) == 1
             assert svals[-1] >= 1e-3
-            assert certify.reference_match(theta, sol) >= 1.0 - 1e-8
+            assert certify.reference_match(coords, certify.kernel_reference(theta, eps)) \
+                >= 1.0 - 1e-8
 
-    _, sol = certify.kernel_solution(PI12, "j")
-    assert np.max(np.abs(sol.coords - FROZEN_KERNEL_J)) <= 1e-5
+    _, coords = certify.kernel_solutions(PI12, "j")
+    assert np.max(np.abs(coords - FROZEN_KERNEL_J)) <= 1e-5
     assert np.max(np.abs(certify.kernel_reference(PI12, 1.0) - FROZEN_KERNEL_J)) <= 1e-5
     print("PASS criterion 5: kernel dimension 1 with clean gap at all probed angles; "
           "frozen vector reproduced to 1e-5 by both paths")

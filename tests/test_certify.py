@@ -63,26 +63,30 @@ def test_reference_difference_identity():
 
 def test_kernel_solution_dimension_and_gauge():
     for theta in (np.pi / 24.0, PI12, 0.5):
-        for ell in ("j", "k"):
-            dim, sol = certify.kernel_solution(theta, ell)
+        for ell, eps in certify.EPSILON_BY_ELL.items():
+            dim, coords = certify.kernel_solutions(theta, ell)
             assert dim == 1
-            assert sol.coords[1] == pytest.approx(-R3 * np.cos(theta))
-            assert sol.epsilon == (1.0 if ell == "j" else -1.0)
-            assert certify.reference_match(theta, sol) >= certify.KERNEL_MATCH_MIN
+            assert coords.shape == (7,)
+            assert coords[1] == pytest.approx(-R3 * np.cos(theta))
+            match = certify.reference_match(coords, certify.kernel_reference(theta, eps))
+            assert isinstance(match, float) and match >= certify.KERNEL_MATCH_MIN
 
 
 def test_kernel_frozen_values_two_paths():
     assert certify.kernel_reference(PI12, 1.0) == pytest.approx(FROZEN_KERNEL_J, abs=1e-6)
-    _, sol = certify.kernel_solution(PI12, "j")
-    assert sol.coords == pytest.approx(FROZEN_KERNEL_J, abs=1e-6)
+    _, coords = certify.kernel_solutions(PI12, "j")
+    assert coords == pytest.approx(FROZEN_KERNEL_J, abs=1e-6)
+
+
+RANK_TWO = np.outer(np.arange(1.0, 7.0), np.ones(7))
+RANK_TWO[0, 0] += 1.0
 
 
 def test_kernel_solution_reports_ill_conditioned_gap(monkeypatch):
-    rank_two = np.outer(np.arange(1.0, 7.0), np.ones(7))
-    rank_two[0, 0] += 1.0
-    monkeypatch.setattr("biquot.certify.build_linear_system", lambda theta, ell: rank_two)
-    with pytest.raises(ValueError, match="ill-conditioned"):
-        certify.kernel_solution(0.3, "j")
+    monkeypatch.setattr("biquot.certify.build_linear_system", lambda theta, ell: RANK_TWO)
+    dim, coords = certify.kernel_solutions(0.3, "j")
+    assert dim == 0
+    assert np.isnan(coords).all()
 
 
 SELFTEST_GRID = np.linspace(0.01, np.pi / 6.0 - 0.01, 1000)
@@ -91,11 +95,18 @@ BUILD_LINEAR_SYSTEM = certify.build_linear_system
 
 @pytest.mark.parametrize("ell", ["j", "k"])
 def test_kernel_solutions_match_one_angle_calls(ell):
-    dims, solutions = certify.kernel_solutions(SELFTEST_GRID, ell)
-    one_angle = [certify.kernel_solution(float(theta), ell) for theta in SELFTEST_GRID]
+    dims, coords = certify.kernel_solutions(SELFTEST_GRID, ell)
+    one_angle = [certify.kernel_solutions(float(theta), ell) for theta in SELFTEST_GRID]
     assert np.array_equal(dims, [dim for dim, _ in one_angle])
-    assert np.array_equal(solutions.coords, np.stack([sol.coords for _, sol in one_angle]))
-    assert solutions.ell == ell and solutions.epsilon == certify.EPSILON_BY_ELL[ell]
+    assert np.array_equal(coords, np.stack([vector for _, vector in one_angle]))
+
+
+@pytest.mark.parametrize("eps", [1.0, -1.0])
+def test_kernel_reference_batch_equals_one_angle_calls(eps):
+    batch = certify.kernel_reference(SELFTEST_GRID, eps)
+    one_angle = np.stack([certify.kernel_reference(float(theta), eps)
+                          for theta in SELFTEST_GRID])
+    assert np.array_equal(batch, one_angle)
 
 
 def _with_systems(monkeypatch, replaced):
@@ -110,26 +121,22 @@ def _with_systems(monkeypatch, replaced):
     monkeypatch.setattr("biquot.certify.build_linear_system", build)
 
 
-def test_kernel_solutions_raise_the_one_angle_error_of_the_first_failing_angle(monkeypatch):
-    rank_two = np.outer(np.arange(1.0, 7.0), np.ones(7))
-    rank_two[0, 0] += 1.0
+def test_kernel_solutions_give_dimension_zero_where_the_kernel_is_undefined(monkeypatch):
     no_gauge = np.hstack([np.zeros((6, 1)), np.eye(6)])  # kernel along (x1)
     thetas = np.linspace(0.1, 0.5, 5)
+    true_dims, true_coords = certify.kernel_solutions(thetas, "k")
+    assert np.array_equal(true_dims, [1] * 5)
 
-    monkeypatch.setattr("biquot.certify.build_linear_system", lambda theta, ell: rank_two)
-    with pytest.raises(ValueError, match="ill-conditioned") as one_angle:
-        certify.kernel_solution(0.3, "j")
-    _with_systems(monkeypatch, {3: rank_two})
-    with pytest.raises(ValueError, match="ill-conditioned") as batch:
-        certify.kernel_solutions(thetas, "j")
-    assert str(batch.value) == str(one_angle.value)
-
-    _with_systems(monkeypatch, {1: no_gauge, 3: rank_two})
-    with pytest.raises(ValueError, match="gauge undefined"):
-        certify.kernel_solutions(thetas, "k")
-    _with_systems(monkeypatch, {1: rank_two, 3: no_gauge})
-    with pytest.raises(ValueError, match="ill-conditioned"):
-        certify.kernel_solutions(thetas, "k")
+    _with_systems(monkeypatch, {1: no_gauge, 3: RANK_TWO})
+    dims, coords = certify.kernel_solutions(thetas, "k")
+    assert np.array_equal(dims, [1, 0, 1, 0, 1])
+    assert np.isnan(coords[[1, 3]]).all()
+    assert np.array_equal(coords[[0, 2, 4]], true_coords[[0, 2, 4]])
+    # either system alone gives the same
+    for system in (no_gauge, RANK_TWO):
+        monkeypatch.setattr("biquot.certify.build_linear_system", lambda theta, ell: system)
+        dim, alone = certify.kernel_solutions(0.3, "k")
+        assert dim == 0 and np.isnan(alone).all()
 
 
 def test_kernel_two_path_matches_per_angle_oracle():
@@ -394,10 +401,11 @@ def test_batched_search_matches_one_angle_searches(monkeypatch):
     thetas = [0.1, 0.2, 0.3]
     seeds = [3, 100006, 200009]
     # three starts per angle against a two-frame cap: one angle per descent
+    points = [embeddings.point_p(theta) for theta in thetas]
     monkeypatch.setattr(certify, "MAX_DESCENT_FRAMES", 2)
-    grouped = certify.search_zero_planes(thetas, 3, 40, seeds)
+    grouped = certify._search_rows(points, 3, 40, seeds)
     monkeypatch.undo()
-    batched = certify.search_zero_planes(thetas, 3, 40, seeds)
+    batched = certify._search_rows(points, 3, 40, seeds)
     for theta, seed, a, b in zip(thetas, seeds, grouped, batched):
         single = certify.search_zero_plane(theta, starts=3, iterations=40, seed=seed)
         assert (a.theta, a.starts, a.iterations) == (theta, 3, 40)
@@ -427,8 +435,8 @@ def _assert_same_report(a, b):
 
 
 def test_search_chunks_a_row_larger_than_a_descent(monkeypatch):
-    thetas, seeds = [0.2, PI12], [4, 900]
-    whole = certify.search_zero_planes(thetas, 7, 60, seeds)
+    points, seeds = [embeddings.point_p(0.2), embeddings.point_p(PI12)], [4, 900]
+    whole = certify._search_rows(points, 7, 60, seeds)
     sizes = []
     real = certify._newton_search
 
@@ -438,7 +446,7 @@ def test_search_chunks_a_row_larger_than_a_descent(monkeypatch):
 
     monkeypatch.setattr(certify, "MAX_DESCENT_FRAMES", 3)
     monkeypatch.setattr(certify, "_newton_search", spy)
-    chunked = certify.search_zero_planes(thetas, 7, 60, seeds)
+    chunked = certify._search_rows(points, 7, 60, seeds)
     single = certify.search_zero_plane(0.2, starts=7, iterations=60, seed=4)
     # two rows, then the one-angle search, each in chunks of 3, 3 and 1 starts
     assert sizes == [3, 3, 1] * 3
@@ -447,15 +455,31 @@ def test_search_chunks_a_row_larger_than_a_descent(monkeypatch):
     _assert_same_report(whole[0], single)
 
 
-def test_search_rejects_negative_iterations_and_seed_mismatch():
+def test_search_rejects_negative_iterations_and_seeds():
     with pytest.raises(ValueError, match="iterations"):
         certify.search_zero_plane(PI12, starts=2, iterations=-1)
     with pytest.raises(ValueError, match="iterations"):
-        certify.search_zero_planes([PI12], 2, -5, [0])
-    with pytest.raises(ValueError, match="seeds"):
-        certify.search_zero_planes([0.1, 0.2], 2, 5, [0])
+        certify.scan(0.1, 0.2, 2, 2, -5, 0)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         certify.search_zero_plane(PI12, starts=2, iterations=5, seed=-1)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        certify.scan(0.1, 0.2, 2, 2, 5, -1)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((0.2, 0.1, 5), "^scan range must satisfy 0 < from < to < pi/2, got from=0.2 to=0.1$"),
+    ((0.0, 0.1, 5), "got from=0.0 to=0.1"),
+    ((0.1, 2.0, 5), "got from=0.1 to=2.0"),
+    ((0.1, 0.2, 1), "^steps must be at least 2, got 1$"),
+    ((0.1, 0.2, 2.0), "^steps must be an integer, got 2.0$"),
+], ids=["reversed", "zero", "past-pi-2", "one-step", "float-steps"])
+def test_scan_rejects_bad_ranges_and_steps(monkeypatch, args, message):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the angle grid was built before the check")
+
+    monkeypatch.setattr(certify.np, "linspace", no_grid)
+    with pytest.raises(ValueError, match=message):
+        certify.scan(*args, 1, 1, 0)
 
 
 def test_search_rejects_bad_starts():
@@ -469,7 +493,7 @@ def test_search_rejects_non_integral_sizes():
     with pytest.raises(ValueError, match="^iterations must be an integer, got 3.0"):
         certify.search_zero_plane(0.3, starts=2, iterations=3.0)
     with pytest.raises(ValueError, match="^seed must be an integer, got 0.5"):
-        certify.search_zero_planes([0.1, 0.2], 2, 3, [0, 0.5])
+        certify.scan(0.1, 0.2, 2, 2, 3, 0.5)
     report = certify.search_zero_plane(0.3, starts=np.int64(2), iterations=np.int32(3),
                                        seed=np.uint8(1))
     assert (report.starts, report.iterations) == (2, 3)
@@ -616,13 +640,13 @@ def test_certify_theta_monotone_safety_simple(monkeypatch, target, patch):
 
 
 def test_certify_theta_monotone_safety_kernel(monkeypatch):
-    real = certify.kernel_solution
+    real = certify.kernel_solutions
 
     def wrong_dimension(theta, ell):
-        _, sol = real(theta, ell)
-        return 2, sol
+        dims, coords = real(theta, ell)
+        return dims + 1, coords
 
-    monkeypatch.setattr("biquot.certify.kernel_solution", wrong_dimension)
+    monkeypatch.setattr("biquot.certify.kernel_solutions", wrong_dimension)
     assert certify.certify_theta(PI12).verdict == "inconclusive"
 
 
@@ -639,26 +663,51 @@ def test_certify_theta_monotone_safety_reference(monkeypatch):
     assert cert.kernel_match_j < certify.KERNEL_MATCH_MIN
 
 
-def test_certify_theta_computes_each_axis_reference_once():
-    certify._one_angle_reference.cache_clear()
-    cert = certify.certify_theta(PI12)
-    assert certify._one_angle_reference.cache_info().misses == 2
-    assert cert == certify.certify_theta(PI12)
-    assert certify._one_angle_reference.cache_info().misses == 2
-    # each caller gets its own copy of the memoized vector
-    certify.kernel_reference(PI12, 1.0)[:] = 0.0
-    assert np.array_equal(certify.kernel_reference(PI12, 1.0),
-                          certify._reference_vectors(PI12, 1.0))
+CRITERION_10_GRID = np.linspace(0.05, np.pi / 6.0 - 0.01, 50)
+
+
+def test_certificates_compute_each_axis_reference_once(monkeypatch):
+    points = [embeddings.point_p(theta) for theta in CRITERION_10_GRID]
+    real = certify.kernel_reference
+    calls = []
+
+    def counted(theta, epsilon):
+        calls.append((np.shape(theta), epsilon))
+        return real(theta, epsilon)
+
+    monkeypatch.setattr(certify, "kernel_reference", counted)
+    certs = certify._certificates(points)
+    assert sorted(calls) == [((50,), -1.0), ((50,), 1.0)]
+    assert [cert.verdict for cert in certs] == ["positive"] * 50
+
+
+def test_certificates_equal_one_angle_certificates():
+    thetas = [*CRITERION_10_GRID, 0.6, 1.0, 1.5707963267948961, 1e-300]
+    batch = certify._certificates([embeddings.point_p(theta) for theta in thetas])
+    for theta, cert in zip(thetas, batch):
+        assert cert == certify.certify_theta(theta)
+    assert [cert.verdict for cert in batch[-4:]] == ["inconclusive"] * 4
+    window = np.array(thetas) < np.pi / 6.0
+    assert np.array_equal(certify.sign_certificate(np.array(thetas)[window]),
+                          [certify.sign_certificate(theta)
+                           for theta in np.array(thetas)[window]])
 
 
 def test_certify_theta_inconclusive_on_kernel_error(monkeypatch):
-    def broken(theta, ell):
-        raise ValueError("ill-conditioned null-space gap")
-
-    monkeypatch.setattr("biquot.certify.kernel_solution", broken)
+    monkeypatch.setattr("biquot.certify.build_linear_system",
+                        lambda theta, ell: np.broadcast_to(RANK_TWO, np.shape(theta) + (6, 7)))
     cert = certify.certify_theta(PI12)
     assert cert.verdict == "inconclusive"
     assert cert.kernel_dim_j == 0 and cert.kernel_dim_k == 0
+    assert cert.kernel_match_j == 0.0 and cert.kernel_match_k == 0.0
+    assert cert.rho_rank == 3 and cert.sign_ok is True
+
+
+def test_scan_rows_inconclusive_when_the_sign_test_fails(monkeypatch):
+    monkeypatch.setattr(certify, "sign_certificate", lambda theta: False)
+    rows = certify.scan(0.05, np.pi / 6.0 - 0.01, 5, 1, 2, 0)
+    assert [(cert.sign_ok, cert.verdict) for cert, _ in rows] == [(False, "inconclusive")] * 5
+    assert all(cert.kernel_dim_j == cert.kernel_dim_k == 1 for cert, _ in rows)
 
 
 def test_reduced_pair_from_axis():

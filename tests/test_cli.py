@@ -207,7 +207,7 @@ def test_scan_checks_sizes_before_building_the_grid(tmp_path, capsys, monkeypatc
     def no_grid(*args, **kwargs):
         raise AssertionError("the angle grid was built before --starts was checked")
 
-    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    monkeypatch.setattr(certify.np, "linspace", no_grid)
     out = tmp_path / "huge.csv"
     code, _, err = run(capsys, ["scan", "--from", "0.1", "--to", "0.2",
                                 "--steps", "100000000000", "--starts", "0", "--out", str(out)])
@@ -220,7 +220,7 @@ def test_scan_reports_memory_error(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB for an array")
 
-    monkeypatch.setattr(certify, "search_zero_planes", exhausted)
+    monkeypatch.setattr(certify, "_search_rows", exhausted)
     out = tmp_path / "oom.csv"
     code, _, err = run(capsys, ["scan", "--from", "0.1", "--to", "0.2", "--steps", "2",
                                 "--starts", "1", "--iterations", "5", "--out", str(out)])
@@ -242,7 +242,6 @@ def test_scan_computes_each_point_once(tmp_path, capsys, monkeypatch):
                               "--starts", "1", "--iterations", "2", "--out", str(out)])
     assert code == 0
     assert len(computed) == len(set(computed)) == 50
-    assert certify._SHARED_POINTS.get() is None
     # nothing outlives the scan: a certificate then computes its own point
     theta = float(out.read_text().splitlines()[8].split(",")[0])
     certify.certify_theta(theta)
@@ -275,21 +274,26 @@ OUTPUT_COMMANDS = {
 
 @pytest.mark.parametrize("command,target", [
     ("scan", "missing"), ("check", "missing"), ("scan", "directory"), ("check", "directory"),
-], ids=["scan", "check", "scan-dir", "check-dir"])
+    ("scan", "empty"), ("check", "empty"),
+], ids=["scan", "check", "scan-dir", "check-dir", "scan-empty", "check-empty"])
 def test_missing_output_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
                                                         command, target):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the output path was rejected")
 
-    for name in ("search_zero_plane", "search_zero_planes", "certify_theta"):
+    for name in ("search_zero_plane", "scan", "certify_theta", "point_p"):
         monkeypatch.setattr(certify, name, no_work)
     argv, flag = OUTPUT_COMMANDS[command]
     missing = tmp_path / "missing"
-    path = missing / "report" if target == "missing" else tmp_path
-    code, out, err = run(capsys, argv + [flag, str(path)])
+    path, message = {
+        "missing": (str(missing / "report"), str(missing)),
+        "directory": (str(tmp_path), f"{str(tmp_path)!r} is a directory"),
+        "empty": ("", "error: output path is empty"),
+    }[target]
+    code, out, err = run(capsys, argv + [flag, path])
     assert code == 1
     assert out == ""
-    assert (str(missing) if target == "missing" else f"{str(path)!r} is a directory") in err
+    assert message in err
     assert not missing.exists()
 
 
@@ -367,3 +371,24 @@ def test_selftest_suites_run_in_the_benchmark_order(capsys):
     names = [line.split(": ", 1)[0].removeprefix("PASS ")
              for line in out.splitlines() if line.startswith("PASS ")]
     assert names == expected
+
+
+def test_selftest_names_an_ill_conditioned_kernel(capsys, monkeypatch):
+    real = certify.build_linear_system
+
+    # rows 4 and 5 zeroed at one angle of the suite's grid: rank 4, no gap
+    def degenerate(theta, ell):
+        systems = real(theta, ell)
+        if np.ndim(theta):
+            systems[500, 4:] = 0.0
+        return systems
+
+    monkeypatch.setattr(certify, "build_linear_system", degenerate)
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == len(checks.SELFTEST_SUITES) + 1
+    assert [line.split(" ", 1)[0] for line in lines[:-1]].count("PASS") == len(lines) - 2
+    assert "FAIL kernel-two-path: dimension 1 on 1000-point grid: False" in out
+    assert lines[-2].startswith("PASS positivity-floors")
+    assert lines[-1] == "FAILED: kernel-two-path"
