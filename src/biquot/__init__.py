@@ -12,7 +12,6 @@ from .certify import (
     bracket_floor,
     build_linear_system,
     certify_theta,
-    identity_suite,
     kernel_reference,
     kernel_solutions,
     scan,
@@ -29,7 +28,6 @@ from .embeddings import (
     rho_rank,
 )
 from .liealg import (
-    KPDecomposition,
     adjoint,
     bracket,
     g0_inner,
@@ -37,11 +35,9 @@ from .liealg import (
     sp2_project,
 )
 from .zeroplane import (
-    ConditionResiduals,
     conditionA_residual,
     conditionB_residual,
     conditionC_residual,
-    lemma_equations_residual,
     lemma_equations_residuals,
     normal_form_reduce,
     vw_vectors,

@@ -13,7 +13,8 @@ one remaining quadratic equation, which rules the plane out.  The sign
 convention baked into the system's fourth row is epsilon = +1 for ell = j
 and -1 for ell = k.  `certify_theta` assembles the certificate at one
 angle; `scan` certifies and searches a grid of angles, the certificates in
-one batched pass, and computes each point p(theta) once for both.
+one batched pass, and computes each point p(theta) once for both.  The
+scalar identities the elimination rests on are checked in `biquot.checks`.
 
 `search_zero_plane` is the independent numerical check: it minimizes the
 squared commutation residuals of conditions (B) and (C) over 2-planes inside
@@ -66,13 +67,11 @@ from .zeroplane import horizontal_basis
 
 __all__ = [
     "Certificate",
-    "IdentityCheck",
     "SearchReport",
     "berger_complement_basis",
     "bracket_floor",
     "build_linear_system",
     "certify_theta",
-    "identity_suite",
     "kernel_reference",
     "kernel_solutions",
     "p_subspace_basis",
@@ -173,14 +172,12 @@ def kernel_solutions(theta, ell: str) -> tuple[np.ndarray, np.ndarray]:
     values plus the structural zero).  The count is only trustworthy with a
     gap above it, so an angle whose second-smallest computed singular value
     is below 1e-6, or whose null vector has no (x2) component to fix the
-    gauge by, gets dimension 0 and NaN coordinates.
+    gauge by, gets dimension 0 and NaN coordinates.  An SVD that fails to
+    converge raises numpy's `LinAlgError`, a `ValueError`.
     """
-    # the gufunc behind np.linalg.svd (not public API), called directly: the
-    # wrapper's checks cost about a third of a one-angle call
-    _, svals, vt = _umath_linalg.svd_f(build_linear_system(theta, ell), signature="d->ddd")
+    _, svals, vt = np.linalg.svd(build_linear_system(theta, ell))
     vectors = vt[..., -1, :]
-    # the rows of vt are unit vectors; the NaN an SVD that fails to converge
-    # leaves fails both tests
+    # the rows of vt are unit vectors
     ok = (svals[..., 4] >= KERNEL_GAP_TOL) & (np.abs(vectors[..., 1]) >= 1e-12)
     # above the gap only the sixth computed value can vanish
     dimensions = np.where(ok, (svals[..., 5] <= KERNEL_SV_TOL) + 1, 0)
@@ -228,74 +225,6 @@ def sign_certificate(theta):
         ref = _reference_vectors(theta, eps)
         holds = holds & (ref[..., 4] * (ref[..., 0] - ref[..., 3]) > 0.0)
     return holds if np.ndim(holds) else bool(holds)
-
-
-# ---------------------------------------------------------------------------
-# Scalar identities used by the elimination chain
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _open_grid(lo: float, hi: float, n: int = 10000) -> np.ndarray:
-    return np.linspace(lo, hi, n + 2)[1:-1]
-
-
-def identity_suite() -> list[IdentityCheck]:
-    """Grid and coefficient checks for the scalar facts the elimination uses."""
-    checks = []
-
-    target = np.array([2, -3, 0, 1])
-    coeffs = np.convolve(np.array([1, -2, 1]), np.array([2, 1]))
-    checks.append(IdentityCheck(
-        name="factorization-coefficients",
-        passed=bool(np.array_equal(coeffs, target)),
-        detail=f"(c-1)^2 (2c+1) expands to coefficients {tuple(coeffs)}",
-    ))
-
-    grid6 = _open_grid(0.0, np.pi / 6.0)
-    f = np.cos(grid6) ** 2 - 3.0 * np.sin(grid6) ** 2
-    boundary = math.cos(np.pi / 6.0) ** 2 - 3.0 * math.sin(np.pi / 6.0) ** 2
-    checks.append(IdentityCheck(
-        name="v-nonvanishing-positivity",
-        passed=bool(np.all(f > 0.0) and abs(boundary) <= 1e-6),
-        detail=f"min(cos^2 - 3 sin^2) = {f.min():.6e}, value at pi/6 = {boundary:.3e}",
-    ))
-
-    g = 1.0 - 4.0 * np.sin(grid6) ** 2
-    gb = 1.0 - 4.0 * math.sin(np.pi / 6.0) ** 2
-    checks.append(IdentityCheck(
-        name="i-component-positivity",
-        passed=bool(np.all(g > 0.0) and abs(gb) <= 1e-6),
-        detail=f"min(1 - 4 sin^2) = {g.min():.6e}, value at pi/6 = {gb:.3e}",
-    ))
-
-    def cubic(c):
-        return 2.0 * c**3 - 3.0 * c**2 + 1.0
-
-    h = cubic(np.cos(grid6))
-    hb = cubic(math.cos(0.0))
-    checks.append(IdentityCheck(
-        name="factorization-positivity",
-        passed=bool(np.all(h > 0.0) and abs(hb) <= 1e-6),
-        detail=f"min(2c^3 - 3c^2 + 1) = {h.min():.6e}, value at 0 = {hb:.3e}",
-    ))
-
-    grid4 = _open_grid(0.0, np.pi / 4.0)
-    c4, s4 = np.cos(grid4), np.sin(grid4)
-    lhs = c4 * s4 / (c4**2 - s4**2)
-    rhs = s4 / c4
-    checks.append(IdentityCheck(
-        name="scale-identity-coefficients",
-        passed=bool(np.all(lhs > 0.0) and np.all(rhs > 0.0)),
-        detail=f"min lhs coeff = {lhs.min():.6e}, min rhs coeff = {rhs.min():.6e}",
-    ))
-
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +284,7 @@ def _pair_forms(points: list[ThetaPoint], bases: list[np.ndarray]) -> np.ndarray
     k = np.arange(13)
     gram[:, k, k] += 1.0
     gram[:, k, 21 + k] = gram[:, 21 + k, k] = -1.0
-    return spanning @ _umath_linalg.cholesky_lo(gram, signature="d->d")
+    return spanning @ np.linalg.cholesky(gram)
 
 
 def _bracket_form(subspace: np.ndarray) -> np.ndarray:

@@ -1,14 +1,18 @@
 """The property checks behind `biquot selftest` and the acceptance criteria.
 
-Each check takes its sample sizes, and the generator or seeds it draws from,
-and returns what it measured, with no tolerance applied.  Samples are reduced
-with numpy's `max` and `min`, so a NaN sample reaches the result.  The selftest
-entries at the end run the checks at fixed seeds and sizes, one
-`(name, ok, detail)` line each.  Library functions are called through their
+Every property check lives here, the scalar identities of the elimination
+chain among them.  Each takes its sample sizes, and the generator or seeds
+it draws from, and returns what it measured as plain numbers, arrays, tuples
+or dicts, with no tolerance applied.  Samples are reduced with numpy's `max`
+and `min`, so a NaN sample reaches the result.  The selftest entries at the
+end run the checks at fixed seeds and sizes, apply the tolerances, and give
+one `(name, ok, detail)` line each.  Library functions are called through their
 modules, so a function patched on its module is the one checked.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -77,11 +81,11 @@ def _structural_defects(p, x, y) -> tuple:
     invariance = np.max(np.abs(liealg.g0_inner(ax, ay) - liealg.g0_inner(x, y)))
     naturality = np.max(liealg.g0_norm(
         liealg.adjoint(p, liealg.bracket(x, y)) - liealg.bracket(ax, ay)))
-    xs, ys = liealg.split_kp(x), liealg.split_kp(y)
+    (xk, xp), (yk, yp) = liealg.split_kp(x), liealg.split_kp(y)
     split = np.max(liealg.g0_norm(
-        liealg.split_kp(liealg.bracket(x, y)).k_part
-        - liealg.bracket(xs.k_part, ys.k_part)
-        - liealg.bracket(xs.p_part, ys.p_part)))
+        liealg.split_kp(liealg.bracket(x, y))[0]
+        - liealg.bracket(xk, yk)
+        - liealg.bracket(xp, yp)))
     return invariance, naturality, split
 
 
@@ -110,8 +114,8 @@ def vw_convention(rng: np.random.Generator, angles: int, margin: float) -> dict[
         for name, p in (("plus-sin", pt.matrix),
                         ("transpose", liealg.conj_transpose(pt.matrix))):
             pinv = liealg.group_inverse(p)
-            got_v = liealg.split_kp(liealg.adjoint(pinv, x)).p_part
-            got_w = liealg.split_kp(liealg.adjoint(pinv, y)).p_part
+            got_v = liealg.split_kp(liealg.adjoint(pinv, x))[1]
+            got_w = liealg.split_kp(liealg.adjoint(pinv, y))[1]
             defects[name] += [np.max(np.abs(got_v - v)), np.max(np.abs(got_w - w))]
     return {name: float(np.max(found)) for name, found in defects.items()}
 
@@ -171,14 +175,19 @@ def linear_family_map(rng: np.random.Generator, fit: int,
 
 def kernel_two_path(points: int) -> tuple[set[int], float]:
     """Kernel dimensions seen, and the worst `certify.reference_match`, on
-    both axes over `points` angles in (0, pi/6): one stacked SVD per axis."""
+    both axes over `points` angles in (0, pi/6): one stacked SVD per axis.
+
+    The match is taken over the angles that have a kernel, and is NaN only
+    when none has one."""
     thetas = np.linspace(0.01, np.pi / 6.0 - 0.01, points)
     dims, matches = set(), []
     for ell, eps in certify.EPSILON_BY_ELL.items():
         found, coords = certify.kernel_solutions(thetas, ell)
         dims.update(found.tolist())
-        matches.append(certify.reference_match(coords, certify.kernel_reference(thetas, eps)))
-    return dims, float(np.min(matches))
+        match = certify.reference_match(coords, certify.kernel_reference(thetas, eps))
+        matches.append(match[found > 0])
+    matches = np.concatenate(matches)
+    return dims, float(np.min(matches)) if matches.size else math.nan
 
 
 def sign_identity(rng: np.random.Generator, angles: int) -> tuple[float, float]:
@@ -192,6 +201,30 @@ def sign_identity(rng: np.random.Generator, angles: int) -> tuple[float, float]:
         products.append(ref[..., 4] * difference)
         defects.append(np.abs(difference - (6.0 - (6.0 + 3.0 * eps) * np.cos(thetas))))
     return float(np.min(products)), float(np.max(defects))
+
+
+def scalar_identities(points: int) -> tuple[tuple[int, ...], dict[str, tuple[float, float]],
+                                             tuple[float, float]]:
+    """The scalar facts the elimination chain rests on.
+
+    Returns the coefficients of (c - 1)^2 (2c + 1), highest degree first;
+    for each sign fact, keyed by name, its least value on `points` interior
+    angles of an evenly spaced grid on (0, pi/6) and its value at the angle
+    that closes the range (pi/6 for cos^2 - 3 sin^2 and 1 - 4 sin^2, 0 for
+    2c^3 - 3c^2 + 1 at c = cos(theta)); and the least values of the two
+    scale coefficients c s / (c^2 - s^2) and s / c on the same kind of grid
+    on (0, pi/4).
+    """
+    closed = np.linspace(0.0, np.pi / 6.0, points + 2)
+    c, s = np.cos(closed), np.sin(closed)
+    signs = {"v-nonvanishing-positivity": (c**2 - 3.0 * s**2, -1),
+             "i-component-positivity": (1.0 - 4.0 * s**2, -1),
+             "factorization-positivity": (2.0 * c**3 - 3.0 * c**2 + 1.0, 0)}
+    grid = np.linspace(0.0, np.pi / 4.0, points + 2)[1:-1]
+    c, s = np.cos(grid), np.sin(grid)
+    return (tuple(int(a) for a in np.convolve([1, -2, 1], [2, 1])),
+            {name: (float(np.min(f[1:-1])), float(f[end])) for name, (f, end) in signs.items()},
+            (float(np.min(c * s / (c**2 - s**2))), float(np.min(s / c))))
 
 
 def positivity_floors(p_seed: int, berger_seed: int, samples: int) -> tuple[float, float]:
@@ -270,7 +303,8 @@ def _suite_kernel_line_obstruction():
         coords = certify.kernel_reference(theta, certify.EPSILON_BY_ELL[ell])
         system = float(np.max(np.abs(certify.build_linear_system(theta, ell) @ coords)))
         pair = certify.reduced_pair_from_axis(coords, ell)
-        eq_res = zeroplane.lemma_equations_residual(pair, pt).eq_res
+        eq_res = dict(zip(zeroplane.EQUATION_LABELS,
+                          zeroplane.lemma_equations_residuals(pair, pt)[1]))
         ok = ok and system <= 1e-9 and eq_res["1"] > 0.1
         details.append(f"ell={ell}: system residual {system:.3e}, "
                        f"eq (1) obstruction {eq_res['1']:.6e}, "
@@ -282,9 +316,13 @@ def _suite_kernel_line_obstruction():
 
 
 def _suite_identity_suite():
-    checks = certify.identity_suite()
-    return ("identity-suite", all(c.passed for c in checks),
-            "; ".join(f"{c.name}: {'pass' if c.passed else 'FAIL'}" for c in checks))
+    coefficients, signs, scale = scalar_identities(points=10_000)
+    passed = {"factorization-coefficients": coefficients == (2, -3, 0, 1)}
+    for name, (least, end) in signs.items():
+        passed[name] = least > 0.0 and abs(end) <= 1e-6
+    passed["scale-identity-coefficients"] = all(least > 0.0 for least in scale)
+    return ("identity-suite", all(passed.values()),
+            "; ".join(f"{name}: {'pass' if ok else 'FAIL'}" for name, ok in passed.items()))
 
 
 def _suite_sign_certificate():

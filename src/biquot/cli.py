@@ -157,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--degrees", action="store_true",
                        help="interpret --theta in degrees")
     check.add_argument("--mode", choices=("algebraic", "search", "both"),
-                       default="algebraic")
+                       default="algebraic",
+                       help="algebraic: the certificate alone; search and both: "
+                            "the certificate and the residual search")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--starts", type=int, default=200)
     check.add_argument("--iterations", type=int, default=500,

@@ -110,15 +110,12 @@ def p_matrix(theta) -> np.ndarray:
     """Rotation by theta in the (1,3) coordinate plane, batched over theta."""
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
-    zero = np.zeros_like(c)
-    one = np.ones_like(c)
     out = np.zeros(theta.shape + (3, 3, 4))
     out[..., 0, 0, 0] = c
     out[..., 0, 2, 0] = s
-    out[..., 1, 1, 0] = one
+    out[..., 1, 1, 0] = 1.0
     out[..., 2, 0, 0] = -s
     out[..., 2, 2, 0] = c
-    out[..., 0, 1, 0] = zero
     return out
 
 

@@ -19,12 +19,9 @@ symmetric-pair identity [X, Y]_k = [X_k, Y_k] + [X_p, Y_p].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "KPDecomposition",
     "SKEW_HERMITIAN_TOL",
     "UNITARY_TOL",
     "adjoint",
@@ -134,17 +131,10 @@ def g0_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(g0_inner(a, a), 0.0))
 
 
-@dataclass(frozen=True)
-class KPDecomposition:
-    """g0-orthogonal split A = k_part + p_part."""
-
-    k_part: np.ndarray
-    p_part: np.ndarray
-
-
-def split_kp(a: np.ndarray) -> KPDecomposition:
+def split_kp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The g0-orthogonal parts (k, p) of A = k + p."""
     a = np.asarray(a, dtype=float)
-    return KPDecomposition(k_part=a * _K_MASK, p_part=a * _P_MASK)
+    return a * _K_MASK, a * _P_MASK
 
 
 def sp2_project(a: np.ndarray) -> np.ndarray:

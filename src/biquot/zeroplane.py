@@ -42,7 +42,6 @@ returns v and w as p-summand matrices (..., 3, 3, 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +51,6 @@ from .quat import qconj, qmul, qnorm_sq
 
 __all__ = [
     "EQUATION_LABELS",
-    "ConditionResiduals",
     "NormalFormError",
     "conditionA_residual",
     "conditionB_residual",
@@ -60,7 +58,6 @@ __all__ = [
     "condition_basis",
     "family_forms",
     "horizontal_basis",
-    "lemma_equations_residual",
     "lemma_equations_residuals",
     "normal_form_reduce",
     "pair_matrices",
@@ -120,24 +117,6 @@ def pair_matrices(pairs) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-@dataclass(frozen=True)
-class ConditionResiduals:
-    """Residuals of conditions (A)(B)(C) and of the thirteen equations."""
-
-    a_res: float
-    b_res: float
-    c_res: float
-    eq_res: dict[str, float]
-
-    @property
-    def max_abc(self) -> float:
-        return max(self.a_res, self.b_res, self.c_res)
-
-    @property
-    def max_eq(self) -> float:
-        return max(self.eq_res.values())
-
-
 def condition_basis(pt: ThetaPoint) -> np.ndarray:
     """Coordinates (6, 21) of the conjugated h1 triple stacked over the h2 triple."""
     rows = np.concatenate([embeddings.adp_h1_basis(pt), embeddings.h2_basis()])
@@ -159,22 +138,22 @@ def _stacked_norm(*terms: np.ndarray) -> np.ndarray:
 
 def conditionB_residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """g0 norm of ([X, Y], [X_k, Y_k], [X_p, Y_p]) stacked."""
-    xs, ys = liealg.split_kp(x), liealg.split_kp(y)
+    (xk, xp), (yk, yp) = liealg.split_kp(x), liealg.split_kp(y)
     return _stacked_norm(
         liealg.bracket(x, y),
-        liealg.bracket(xs.k_part, ys.k_part),
-        liealg.bracket(xs.p_part, ys.p_part),
+        liealg.bracket(xk, yk),
+        liealg.bracket(xp, yp),
     )
 
 
 def conditionC_residual(x: np.ndarray, y: np.ndarray, pt: ThetaPoint) -> np.ndarray:
     """Same stacked norm for the k- and p-brackets of the transported pair."""
     pinv = liealg.group_inverse(pt.matrix)
-    xs = liealg.split_kp(liealg.adjoint(pinv, x))
-    ys = liealg.split_kp(liealg.adjoint(pinv, y))
+    xk, xp = liealg.split_kp(liealg.adjoint(pinv, x))
+    yk, yp = liealg.split_kp(liealg.adjoint(pinv, y))
     return _stacked_norm(
-        liealg.bracket(xs.k_part, ys.k_part),
-        liealg.bracket(xs.p_part, ys.p_part),
+        liealg.bracket(xk, yk),
+        liealg.bracket(xp, yp),
     )
 
 
@@ -201,8 +180,8 @@ def normal_form_reduce(x: np.ndarray, y: np.ndarray, pt: ThetaPoint,
     if liealg.normalized_gram_residual(liealg.vec_sp3(x), liealg.vec_sp3(y)) <= tol:
         raise NormalFormError("pair is not linearly independent")
 
-    xp = liealg.split_kp(x).p_part
-    yp = liealg.split_kp(y).p_part
+    xp = liealg.split_kp(x)[1]
+    yp = liealg.split_kp(y)[1]
     npx, npy = float(liealg.g0_norm(xp)), float(liealg.g0_norm(yp))
     if npx <= tol:
         first, second = x, y
@@ -308,17 +287,6 @@ def lemma_equations_residuals(pairs, pt: ThetaPoint) -> tuple[np.ndarray, np.nda
         conditionC_residual(x, y, pt),
     ], axis=-1)
     return abc, eq
-
-
-def lemma_equations_residual(pair, pt: ThetaPoint) -> ConditionResiduals:
-    """`lemma_equations_residuals` of one pair (7, 4), with the equations
-    keyed by label."""
-    if np.shape(pair) != (7, 4):
-        raise ValueError(f"expected one pair of shape (7, 4), got {np.shape(pair)}")
-    abc, eq = lemma_equations_residuals(pair, pt)
-    a_res, b_res, c_res = (float(r) for r in abc)
-    return ConditionResiduals(a_res=a_res, b_res=b_res, c_res=c_res,
-                              eq_res=dict(zip(EQUATION_LABELS, (float(r) for r in eq))))
 
 
 def horizontal_basis(pt: ThetaPoint) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Each test prints a single PASS line once its assertions hold; run with
 `pytest -s tests/test_acceptance.py` to see them.  Criteria 1-4, 6, 7 and 9
-run the checks behind `biquot selftest` (`biquot.checks`, and
-`certify.identity_suite` for criterion 7) at their own seeds and sizes, and
-assert their own tolerances on the numbers those return.
+run the checks behind `biquot selftest`, the functions of `biquot.checks`,
+at their own seeds and sizes, and assert their own tolerances on the
+numbers those return.
 """
 
 import time
@@ -102,12 +102,12 @@ def test_criterion_06_sign_certificate():
 
 
 def test_criterion_07_identity_suite():
-    checked = certify.identity_suite()
-    assert [check.name for check in checked] == [
-        "factorization-coefficients", "v-nonvanishing-positivity",
-        "i-component-positivity", "factorization-positivity",
-        "scale-identity-coefficients"]
-    assert all(check.passed for check in checked)
+    coefficients, signs, scale = checks.scalar_identities(points=10_000)
+    assert coefficients == (2, -3, 0, 1)
+    assert list(signs) == ["v-nonvanishing-positivity", "i-component-positivity",
+                           "factorization-positivity"]
+    assert all(least > 0.0 and abs(end) <= 1e-12 for least, end in signs.values())
+    assert all(least > 0.0 for least in scale)
     print("PASS criterion 7: exact coefficient match and strict positivity on "
           "10000-point grids with boundary zeros confirmed")
 

@@ -164,11 +164,25 @@ def test_sign_certificate_rejects_out_of_window():
 
 
 def test_identity_suite_all_pass():
-    checks = certify.identity_suite()
-    assert len(checks) == 5
-    assert all(c.passed for c in checks)
-    names = [c.name for c in checks]
-    assert "factorization-coefficients" in names
+    coefficients, signs, scale = checks.scalar_identities(points=10_000)
+    assert coefficients == (2, -3, 0, 1)
+    assert len(signs) == 3
+    for least, end in signs.values():
+        assert least > 0.0
+        assert abs(end) <= 1e-6
+    # both scale coefficients behave like theta at 0, so each least value
+    # sits at the first grid angle
+    assert scale == pytest.approx((np.pi / 4.0 / 10_001,) * 2, rel=1e-7)
+
+
+def test_identity_suite_fails_each_fact_it_cannot_confirm(monkeypatch):
+    nan = float("nan")
+    monkeypatch.setattr(checks, "scalar_identities", lambda points: (
+        (2, -3, 0, 2), {"a": (1.0, 0.0), "b": (nan, 0.0), "c": (1.0, 1e-3)}, (1.0, nan)))
+    name, ok, detail = checks._suite_identity_suite()
+    assert (name, ok) == ("identity-suite", False)
+    assert detail == ("factorization-coefficients: FAIL; a: pass; b: FAIL; c: FAIL; "
+                      "scale-identity-coefficients: FAIL")
 
 
 def test_search_is_deterministic():
@@ -600,7 +614,7 @@ def test_bracket_floor_rejects_non_integral_sizes(name):
 def test_subspace_bases():
     p_basis = certify.p_subspace_basis()
     assert p_basis.shape == (21, 8)
-    assert np.max(np.abs(liealg.split_kp(liealg.unvec_sp3(p_basis.T)).k_part)) == 0.0
+    assert np.max(np.abs(liealg.split_kp(liealg.unvec_sp3(p_basis.T))[0])) == 0.0
     berger = certify.berger_complement_basis()
     assert berger.shape == (21, 7)
     elems = liealg.unvec_sp3(berger.T)

@@ -390,5 +390,9 @@ def test_selftest_names_an_ill_conditioned_kernel(capsys, monkeypatch):
     assert len(lines) == len(checks.SELFTEST_SUITES) + 1
     assert [line.split(" ", 1)[0] for line in lines[:-1]].count("PASS") == len(lines) - 2
     assert "FAIL kernel-two-path: dimension 1 on 1000-point grid: False" in out
+    # the worst match is taken over the 999 angles that keep a kernel
+    (line,) = [line for line in lines if line.startswith("FAIL kernel-two-path")]
+    worst = float(line.rsplit("min |cosine| ", 1)[1])
+    assert math.isfinite(worst) and worst >= certify.KERNEL_MATCH_MIN
     assert lines[-2].startswith("PASS positivity-floors")
     assert lines[-1] == "FAILED: kernel-two-path"

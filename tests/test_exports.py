@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,3 +20,13 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_the_only_dataclasses_are_the_reports_the_point_and_the_scalar_quaternion():
+    # checks, residuals and splits return plain values; the scalar Quaternion
+    # is the quaternion-algebra check's oracle
+    found = sorted(name for module in map(importlib.import_module, MODULES)
+                   for name, obj in vars(module).items()
+                   if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                   and obj.__module__ == module.__name__)
+    assert found == ["Certificate", "Quaternion", "SearchReport", "ThetaPoint", "_Descent"]

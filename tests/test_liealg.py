@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from _oracles import mat_from_quaternions, scalar_bracket, scalar_g0
 
-from biquot import embeddings, liealg
+from biquot import checks, embeddings, liealg
 from biquot.quat import MUL_TABLE, Quaternion
 
 I = Quaternion(0, 1, 0, 0)
@@ -91,18 +91,18 @@ def test_g0_matches_scalar_oracle():
 
 def test_split_kp_examples():
     h2 = embeddings.h2_basis()[1]
-    assert np.max(np.abs(liealg.split_kp(h2).p_part)) == 0.0
+    assert np.max(np.abs(liealg.split_kp(h2)[1])) == 0.0
 
     only_z1 = mat_from_quaternions([[ZERO, ZERO, 1.0], [ZERO, ZERO, ZERO], [-1.0, ZERO, ZERO]])
-    assert np.max(np.abs(liealg.split_kp(only_z1).k_part)) == 0.0
+    assert np.max(np.abs(liealg.split_kp(only_z1)[0])) == 0.0
 
 
 def test_split_kp_orthogonal_and_reconstructs():
     rng = np.random.default_rng(9)
     a = liealg.random_sp3(rng, size=50)
-    parts = liealg.split_kp(a)
-    assert np.allclose(parts.k_part + parts.p_part, a)
-    assert np.max(np.abs(liealg.g0_inner(parts.k_part, parts.p_part))) < 1e-12
+    k, p = liealg.split_kp(a)
+    assert np.allclose(k + p, a)
+    assert np.max(np.abs(liealg.g0_inner(k, p))) < 1e-12
 
 
 def test_sp2_project():
@@ -175,14 +175,8 @@ def test_require_sp3_rejects_non_skew():
 
 
 def test_symmetric_pair_identity():
-    rng = np.random.default_rng(16)
-    x = liealg.random_sp3(rng, size=200, normalized=True)
-    y = liealg.random_sp3(rng, size=200, normalized=True)
-    xk, xp = liealg.split_kp(x).k_part, liealg.split_kp(x).p_part
-    yk, yp = liealg.split_kp(y).k_part, liealg.split_kp(y).p_part
-    lhs = liealg.split_kp(liealg.bracket(x, y)).k_part
-    rhs = liealg.bracket(xk, yk) + liealg.bracket(xp, yp)
-    assert np.max(liealg.g0_norm(lhs - rhs)) < 1e-11
+    _, _, split = checks.structural_identities(np.random.default_rng(16), samples=200)
+    assert split < 1e-11
 
 
 def test_dependence_residual_examples():

@@ -20,7 +20,7 @@ def test_reduced_pair_matrices_are_skew_and_block_shaped():
     x, y = zeroplane.pair_matrices(pair)
     assert liealg.skew_defect(x) == 0.0
     assert liealg.skew_defect(y) == 0.0
-    assert np.max(np.abs(liealg.split_kp(x).p_part)) == 0.0
+    assert np.max(np.abs(liealg.split_kp(x)[1])) == 0.0
     assert np.max(np.abs(x[0, 2])) == 0.0
     assert np.max(np.abs(liealg.sp2_project(y))) == 0.0
     assert x[2, 2, 1:] == pytest.approx(pair[3, 1:])
@@ -77,9 +77,9 @@ def test_conditionB_split_brackets_cancel_for_commuting_pairs():
     for _ in range(100):
         x = liealg.random_sp3(rng, normalized=True)
         y = liealg.mat_mul(liealg.mat_mul(x, x), x)
-        xs, ys = liealg.split_kp(x), liealg.split_kp(y)
-        bk = liealg.bracket(xs.k_part, ys.k_part)
-        bp = liealg.bracket(xs.p_part, ys.p_part)
+        (xk, xp), (yk, yp) = liealg.split_kp(x), liealg.split_kp(y)
+        bk = liealg.bracket(xk, yk)
+        bp = liealg.bracket(xp, yp)
         # [X, Y] = 0, so the k- and p-brackets are exact negatives
         assert liealg.g0_norm(bk + bp) <= 1e-12
         assert abs(liealg.g0_norm(bk) - liealg.g0_norm(bp)) <= 1e-12
@@ -111,7 +111,7 @@ def test_condition_residuals_scale_with_plane_change():
 def test_normal_form_reduce_synthetic_pair():
     rng = np.random.default_rng(35)
     y = liealg.random_sp3(rng)
-    x = (2.0 * liealg.split_kp(y).p_part + 3.0 * liealg.sp2_project(y))
+    x = (2.0 * liealg.split_kp(y)[1] + 3.0 * liealg.sp2_project(y))
     x[2, 2, 1:] = rng.standard_normal(3)
     x = liealg.require_sp3(x)
 
@@ -181,52 +181,53 @@ def test_theta_range_guard():
     with pytest.raises(ValueError, match="pi/4"):
         zeroplane.vw_vectors(pair, pt_large)
     with pytest.raises(ValueError, match="pi/4"):
-        zeroplane.lemma_equations_residual(pair, pt_large)
+        zeroplane.lemma_equations_residuals(pair, pt_large)
 
 
 def test_lemma_equations_zero_pair():
-    res = zeroplane.lemma_equations_residual(np.zeros((7, 4)), PT)
-    assert res.max_eq == 0.0
-    assert res.max_abc == 0.0
-    assert tuple(res.eq_res) == zeroplane.EQUATION_LABELS
+    abc, eq = zeroplane.lemma_equations_residuals(np.zeros((7, 4)), PT)
+    assert np.max(eq) == 0.0
+    assert np.max(abc) == 0.0
+    assert abc.shape == (3,)
+    assert eq.shape == (len(zeroplane.EQUATION_LABELS),)
 
 
 def test_lemma_equations_on_kernel_line():
     theta = float(PT.theta)
     coords = certify.kernel_reference(theta, 1.0)
     pair = certify.reduced_pair_from_axis(coords, "j")
-    res = zeroplane.lemma_equations_residual(pair, PT)
+    eq = dict(zip(zeroplane.EQUATION_LABELS, zeroplane.lemma_equations_residuals(pair, PT)[1]))
     for label in ("2", "3", "4", "5i", "5k", "6i", "6j", "6k", "7i", "7j", "7k"):
-        assert res.eq_res[label] <= 1e-8, label
+        assert eq[label] <= 1e-8, label
     # the one remaining equation is obstructed: its residual is large ...
-    assert res.eq_res["1"] > 0.1
+    assert eq["1"] > 0.1
     # ... and the (5j) form shows the row-4 sign convention difference verbatim
-    assert res.eq_res["5j"] == pytest.approx(6.0 * np.cos(theta), abs=1e-9)
+    assert eq["5j"] == pytest.approx(6.0 * np.cos(theta), abs=1e-9)
 
 
 def test_exact_family_solutions_pass_both_residual_paths():
     rng = np.random.default_rng(42)
     for build in (zeroplane.x_side_solution, zeroplane.y_side_solution):
-        for _ in range(10):
-            res = zeroplane.lemma_equations_residual(build(rng, PT), PT)
-            assert res.max_eq <= 1e-12
-            assert res.max_abc <= 1e-12
+        pairs = np.stack([build(rng, PT) for _ in range(10)])
+        abc, eq = zeroplane.lemma_equations_residuals(pairs, PT)
+        assert np.max(eq) <= 1e-12
+        assert np.max(abc) <= 1e-12
 
 
 def test_random_pairs_fail_both_residual_paths():
     rng = np.random.default_rng(43)
-    for _ in range(50):
-        res = zeroplane.lemma_equations_residual(zeroplane.random_reduced_pair(rng), PT)
-        assert res.max_eq > 1e-6
-        assert res.max_abc > 1e-6
+    pairs = np.stack([zeroplane.random_reduced_pair(rng) for _ in range(50)])
+    abc, eq = zeroplane.lemma_equations_residuals(pairs, PT)
+    assert np.all(np.max(eq, axis=-1) > 1e-6)
+    assert np.all(np.max(abc, axis=-1) > 1e-6)
 
 
 def test_equivalence_holds_at_wider_angle():
     rng = np.random.default_rng(45)
     pt = embeddings.point_p(0.6)
-    for pair in checks.mixed_pairs(rng, pt, random=100, sides=5, mixed=0):
-        res = zeroplane.lemma_equations_residual(pair, pt)
-        assert (res.max_abc <= 1e-9) == (res.max_eq <= 1e-9)
+    abc, eq = zeroplane.lemma_equations_residuals(
+        checks.mixed_pairs(rng, pt, random=100, sides=5, mixed=0), pt)
+    assert np.array_equal(np.max(abc, axis=-1) <= 1e-9, np.max(eq, axis=-1) <= 1e-9)
 
 
 def test_family5_matches_direct_pairings():
@@ -285,8 +286,9 @@ def test_batched_equations_keep_leading_axes():
     abc, eq = zeroplane.lemma_equations_residuals(stack, PT)
     assert eq.shape == (2, 5, 13)
     assert abc.shape == (2, 5, 3)
-    single = zeroplane.lemma_equations_residual(pairs[7], PT)
-    assert list(eq[1, 2]) == pytest.approx(list(single.eq_res.values()), rel=1e-12, abs=1e-15)
+    _, single = zeroplane.lemma_equations_residuals(pairs[7], PT)
+    assert single.shape == (13,)
+    assert list(eq[1, 2]) == pytest.approx(list(single), rel=1e-12, abs=1e-15)
     assert zeroplane.family_forms(stack, PT).shape == (2, 5, 9)
 
 
@@ -300,5 +302,3 @@ def test_batched_equations_reject_malformed_stacks():
     stack[1, 2, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         zeroplane.lemma_equations_residuals(stack, PT)
-    with pytest.raises(ValueError, match="one pair"):
-        zeroplane.lemma_equations_residual(np.zeros((3, 7, 4)), PT)
