@@ -19,7 +19,6 @@ from .certify import (
     sign_certificate,
 )
 from .embeddings import (
-    ThetaPoint,
     adp_h1_basis,
     h1_basis,
     h2_basis,

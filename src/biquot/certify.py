@@ -61,7 +61,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import liealg
-from .embeddings import ThetaPoint, point_p, rho_rank
+from .embeddings import point_p, rho_rank
 from .liealg import unvec_sp3
 from .zeroplane import horizontal_basis
 
@@ -251,9 +251,9 @@ def _wedge_terms(vectors: np.ndarray, structure: np.ndarray) -> np.ndarray:
     return (columns[..., None, :, :] @ half)[..., a, b, :]
 
 
-def _pair_forms(points: list[ThetaPoint], bases: list[np.ndarray]) -> np.ndarray:
+def _pair_forms(points: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
     """Factors L (n, 105, 47) of the squared (B)+(C) residuals at the points
-    `points`, each on wedges of the columns of its basis in `bases`.
+    (n, 3, 3, 4), each on wedges of the columns of its basis in `bases`.
 
     The residual terms are T = [F | KK | PP | TKK | TPP]: the bracket
     F = [x, y], its parts KK = [x_k, y_k] and PP = [x_p, y_p], and the same
@@ -265,11 +265,10 @@ def _pair_forms(points: list[ThetaPoint], bases: list[np.ndarray]) -> np.ndarray
     exists.  The points go through every product as one stack, and each form
     equals the one its point alone gives.
     """
-    matrices = np.stack([pt.matrix for pt in points])
     basis = np.stack(bases)
     # A_k, the k rows of the coordinate matrix of Ad_{p^-1}
     moved = np.swapaxes(liealg.vec_sp3(
-        liealg.adjoint(liealg.group_inverse(matrices)[:, None], _UNITS)), 1, 2)[:, _K]
+        liealg.adjoint(liealg.group_inverse(points)[:, None], _UNITS)), 1, 2)[:, _K]
     kk = _STRUCTURE[_K, _K, _K]
     spanning = np.concatenate([_wedge_terms(basis, _STRUCTURE), _wedge_terms(basis[:, _K], kk),
                                _wedge_terms(moved @ basis, kk)], axis=-1)
@@ -620,7 +619,6 @@ class SearchReport:
     Riemannian gradient norm of the squared residual at the best frame.
     """
 
-    theta: float
     starts: int
     iterations: int
     min_residual: float
@@ -637,10 +635,10 @@ class SearchReport:
 MAX_DESCENT_FRAMES = 1024
 
 
-def _search_rows(points: list[ThetaPoint], starts: int, iterations: int,
+def _search_rows(points: np.ndarray, starts: int, iterations: int,
                  seeds: list[int]) -> list[SearchReport]:
-    """Search at every point, row r drawing its start frames from
-    seeds[r] + index, as `search_zero_plane` at that point alone would.
+    """Search at every point (n, 3, 3, 4), row r drawing its start frames
+    from seeds[r] + index, as `search_zero_plane` at that point alone would.
 
     Rows go through the descent in consecutive groups of at most
     `MAX_DESCENT_FRAMES` frames; a row with more starts goes alone, its
@@ -648,7 +646,7 @@ def _search_rows(points: list[ThetaPoint], starts: int, iterations: int,
     first best frame.  Every frame descends independently, so each report
     matches the one-angle search.
     """
-    bases = [horizontal_basis(pt) for pt in points]
+    bases = [horizontal_basis(p) for p in points]
     for basis in bases:
         if basis.shape[1] != 15:
             raise ValueError(
@@ -685,10 +683,9 @@ def _search_rows(points: list[ThetaPoint], starts: int, iterations: int,
                 stalled[row] += int(np.sum(run.outcome[span] == _STALLED))
 
     reports = []
-    for row, (pt, basis) in enumerate(zip(points, bases)):
+    for row, basis in enumerate(bases):
         coords = basis @ best_frame[row]
         reports.append(SearchReport(
-            theta=pt.theta,
             starts=starts,
             iterations=iterations,
             min_residual=float(math.sqrt(max(float(best[row]), 0.0))),
@@ -733,7 +730,7 @@ def search_zero_plane(theta: float, starts: int = 200, iterations: int = 500,
     frame found.
     """
     starts, iterations, seed = _search_sizes(starts, iterations, seed)
-    return _search_rows([point_p(theta)], starts, iterations, [seed])[0]
+    return _search_rows(point_p(theta)[None], starts, iterations, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -843,35 +840,35 @@ class Certificate:
     verdict: str
 
 
-def _certificates(points: list[ThetaPoint]) -> list[Certificate]:
-    """The algebraic certificates at the points p(theta), theta in (0, pi/2),
-    from one `kernel_solutions` and one `kernel_reference` call per axis and
-    one `sign_certificate` call on the angles below pi/6.
+def _certificates(thetas: np.ndarray, points: np.ndarray) -> list[Certificate]:
+    """The algebraic certificates at the angles `thetas` in (0, pi/2) and
+    their points p(theta) (n, 3, 3, 4), from one `kernel_solutions` and one
+    `kernel_reference` call per axis, one `sign_certificate` call on the
+    angles below pi/6 and one `rho_rank` call.
 
     A verdict is positive only when the corner map has full rank, both axis
     kernels are one-dimensional and match the closed form, the sign
     certificate holds, and theta lies in (0, pi/6); anything else, including
     an ill-conditioned kernel (dimension 0, match 0), is inconclusive.
     """
-    thetas = np.array([pt.theta for pt in points])
     window = thetas < np.pi / 6.0
-    sign_ok = np.zeros(len(points), dtype=bool)
+    sign_ok = np.zeros(len(thetas), dtype=bool)
     sign_ok[window] = sign_certificate(thetas[window])
     dims, matches, refs = {}, {}, {}
     for ell, eps in EPSILON_BY_ELL.items():
         dims[ell], coords = kernel_solutions(thetas, ell)
         refs[ell] = kernel_reference(thetas, eps)
         matches[ell] = np.where(dims[ell] > 0, reference_match(coords, refs[ell]), 0.0)
+    ranks = rho_rank(points)
     certs = []
-    for row, pt in enumerate(points):
-        rank = rho_rank(pt)
+    for row, theta in enumerate(thetas):
         ref_j = refs["j"][row]
-        positive = (rank == 3 and sign_ok[row]
+        positive = (ranks[row] == 3 and sign_ok[row]
                     and all(dims[ell][row] == 1 and matches[ell][row] >= KERNEL_MATCH_MIN
                             for ell in EPSILON_BY_ELL))
         certs.append(Certificate(
-            theta=pt.theta,
-            rho_rank=rank,
+            theta=float(theta),
+            rho_rank=int(ranks[row]),
             kernel_dim_j=int(dims["j"][row]),
             kernel_dim_k=int(dims["k"][row]),
             kernel_match_j=float(matches["j"][row]),
@@ -886,13 +883,13 @@ def _certificates(points: list[ThetaPoint]) -> list[Certificate]:
 def certify_theta(theta: float) -> Certificate:
     """The algebraic certificate at theta in (0, pi/2): `_certificates` at
     the one point p(theta)."""
-    return _certificates([point_p(theta)])[0]
+    return _certificates(np.array([theta], dtype=float), point_p([theta]))[0]
 
 
 def scan(lo: float, hi: float, steps: int, starts: int, iterations: int,
          seed: int) -> list[tuple[Certificate, SearchReport]]:
     """Certificate and residual search at `steps` evenly spaced angles from
-    lo to hi, 0 < lo < hi < pi/2, each point p(theta) computed once.
+    lo to hi, 0 < lo < hi < pi/2, the points p(theta) computed in one call.
 
     Row r searches with seed + 100003 r.  The range, the sizes and the seed
     are checked before the grid is built, so a bad size never waits on, or
@@ -906,7 +903,8 @@ def scan(lo: float, hi: float, steps: int, starts: int, iterations: int,
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps!r}")
     starts, iterations, seed = _search_sizes(starts, iterations, seed)
-    points = [point_p(theta) for theta in np.linspace(lo, hi, steps)]
+    thetas = np.linspace(lo, hi, steps)
+    points = point_p(thetas)
     reports = _search_rows(points, starts, iterations,
                            [seed + 100003 * row for row in range(steps)])
-    return list(zip(_certificates(points), reports))
+    return list(zip(_certificates(thetas, points), reports))

@@ -91,15 +91,12 @@ def _structural_defects(p, x, y) -> tuple:
 
 def display_reproduction(rng: np.random.Generator, angles: int) -> tuple[float, list[int]]:
     """Largest defect of the displayed closed forms of the Ad_p h1 generators,
-    and the corner-map ranks, at random angles."""
-    defects, ranks = [], []
-    for _ in range(angles):
-        pt = embeddings.point_p(rng.uniform(0.01, np.pi / 2.0 - 0.01))
-        computed = embeddings.adp_h1_basis(pt)
-        closed = np.stack([embeddings.adp_h1_closed_form(pt, unit) for unit in np.eye(3)])
-        defects.append(np.max(np.abs(computed - closed)))
-        ranks.append(embeddings.rho_rank(pt))
-    return float(np.max(defects)), ranks
+    and the corner-map ranks, at random angles, the points in one batch."""
+    thetas = rng.uniform(0.01, np.pi / 2.0 - 0.01, angles)
+    points = embeddings.point_p(thetas)
+    closed = np.stack([embeddings.adp_h1_closed_form(theta, np.eye(3)) for theta in thetas])
+    defect = np.max(np.abs(embeddings.adp_h1_basis(points) - closed))
+    return float(defect), embeddings.rho_rank(points).tolist()
 
 
 def vw_convention(rng: np.random.Generator, angles: int, margin: float) -> dict[str, float]:
@@ -107,12 +104,12 @@ def vw_convention(rng: np.random.Generator, angles: int, margin: float) -> dict[
     (Ad_{P^-1} Y)_p, for P = p(theta) ("plus-sin") and for its transpose."""
     defects = {"plus-sin": [], "transpose": []}
     for _ in range(angles):
-        pt = embeddings.point_p(rng.uniform(margin, np.pi / 4.0 - margin))
+        theta = rng.uniform(margin, np.pi / 4.0 - margin)
+        point = embeddings.point_p(theta)
         pair = zeroplane.random_reduced_pair(rng)
         x, y = zeroplane.pair_matrices(pair)
-        v, w = zeroplane.vw_vectors(pair, pt)
-        for name, p in (("plus-sin", pt.matrix),
-                        ("transpose", liealg.conj_transpose(pt.matrix))):
+        v, w = zeroplane.vw_vectors(pair, theta)
+        for name, p in (("plus-sin", point), ("transpose", liealg.conj_transpose(point))):
             pinv = liealg.group_inverse(p)
             got_v = liealg.split_kp(liealg.adjoint(pinv, x))[1]
             got_w = liealg.split_kp(liealg.adjoint(pinv, y))[1]
@@ -120,17 +117,17 @@ def vw_convention(rng: np.random.Generator, angles: int, margin: float) -> dict[
     return {name: float(np.max(found)) for name, found in defects.items()}
 
 
-def mixed_pairs(rng: np.random.Generator, pt, random: int, sides: int,
+def mixed_pairs(rng: np.random.Generator, theta: float, random: int, sides: int,
                 mixed: int) -> np.ndarray:
     """Pair stack (n, 7, 4) of random pairs, exact x-side and then y-side
-    solutions at `pt`, pairs joining the two sides' halves, and the zero
+    solutions at p(theta), pairs joining the two sides' halves, and the zero
     pair, drawn in that order."""
     pairs = [zeroplane.random_reduced_pair(rng) for _ in range(random)]
-    pairs += [zeroplane.x_side_solution(rng, pt) for _ in range(sides)]
-    pairs += [zeroplane.y_side_solution(rng, pt) for _ in range(sides)]
+    pairs += [zeroplane.x_side_solution(rng, theta) for _ in range(sides)]
+    pairs += [zeroplane.y_side_solution(rng, theta) for _ in range(sides)]
     for _ in range(mixed):
-        xs = zeroplane.x_side_solution(rng, pt)
-        ys = zeroplane.y_side_solution(rng, pt)
+        xs = zeroplane.x_side_solution(rng, theta)
+        ys = zeroplane.y_side_solution(rng, theta)
         pairs.append(np.concatenate([xs[:4], ys[4:]]))
     pairs.append(np.zeros((7, 4)))
     return np.stack(pairs)
@@ -142,9 +139,8 @@ def equation_equivalence(rng: np.random.Generator, random: int, sides: int,
     (A)(B)(C) residual and the largest of the thirteen equations."""
     abc, eq = [], []
     for theta in (np.pi / 24.0, np.pi / 12.0, np.pi / 8.0):
-        pt = embeddings.point_p(theta)
         conditions, equations = zeroplane.lemma_equations_residuals(
-            mixed_pairs(rng, pt, random, sides, mixed), pt)
+            mixed_pairs(rng, theta, random, sides, mixed), theta)
         abc.append(conditions.max(axis=-1))
         eq.append(equations.max(axis=-1))
     return np.concatenate(abc), np.concatenate(eq)
@@ -154,15 +150,15 @@ def linear_family_map(rng: np.random.Generator, fit: int,
                       fresh: int) -> tuple[float, float]:
     """Defect on `fresh` pairs, and determinant, of the map from the family
     forms to the condition-(A) pairings fitted on `fit` pairs at pi/12."""
-    pt = embeddings.point_p(np.pi / 12.0)
-    basis = zeroplane.condition_basis(pt)
+    theta = np.pi / 12.0
+    basis = zeroplane.condition_basis(embeddings.point_p(theta))
 
     def forms(pair):
         x, y = zeroplane.pair_matrices(pair)
         px = liealg.vec_sp3(x) @ basis.T
         py = liealg.vec_sp3(y) @ basis.T
         pairings = np.concatenate([px[3:6], px[0:3], py[0:3]])
-        return pairings, zeroplane.family_forms(pair, pt)
+        return pairings, zeroplane.family_forms(pair, theta)
 
     fitted = [forms(zeroplane.random_reduced_pair(rng)) for _ in range(fit)]
     u = np.stack([f[0] for f in fitted])
@@ -213,13 +209,15 @@ def scalar_identities(points: int) -> tuple[tuple[int, ...], dict[str, tuple[flo
     that closes the range (pi/6 for cos^2 - 3 sin^2 and 1 - 4 sin^2, 0 for
     2c^3 - 3c^2 + 1 at c = cos(theta)); and the least values of the two
     scale coefficients c s / (c^2 - s^2) and s / c on the same kind of grid
-    on (0, pi/4).
+    on (0, pi/4).  2c^3 - 3c^2 + 1 is evaluated as (2 sin^2(theta/2))^2 (2c + 1),
+    which the coefficients confirm and which does not cancel near theta = 0.
     """
     closed = np.linspace(0.0, np.pi / 6.0, points + 2)
     c, s = np.cos(closed), np.sin(closed)
+    one_minus_c = 2.0 * np.sin(closed / 2.0) ** 2
     signs = {"v-nonvanishing-positivity": (c**2 - 3.0 * s**2, -1),
              "i-component-positivity": (1.0 - 4.0 * s**2, -1),
-             "factorization-positivity": (2.0 * c**3 - 3.0 * c**2 + 1.0, 0)}
+             "factorization-positivity": (one_minus_c**2 * (2.0 * c + 1.0), 0)}
     grid = np.linspace(0.0, np.pi / 4.0, points + 2)[1:-1]
     c, s = np.cos(grid), np.sin(grid)
     return (tuple(int(a) for a in np.convolve([1, -2, 1], [2, 1])),
@@ -297,14 +295,13 @@ def _suite_kernel_two_path():
 def _suite_kernel_line_obstruction():
     # no samples: the closed-form kernel line at pi/12 only
     theta = np.pi / 12.0
-    pt = embeddings.point_p(theta)
     details, ok = [], True
     for ell in ("j", "k"):
         coords = certify.kernel_reference(theta, certify.EPSILON_BY_ELL[ell])
         system = float(np.max(np.abs(certify.build_linear_system(theta, ell) @ coords)))
         pair = certify.reduced_pair_from_axis(coords, ell)
         eq_res = dict(zip(zeroplane.EQUATION_LABELS,
-                          zeroplane.lemma_equations_residuals(pair, pt)[1]))
+                          zeroplane.lemma_equations_residuals(pair, theta)[1]))
         ok = ok and system <= 1e-9 and eq_res["1"] > 0.1
         details.append(f"ell={ell}: system residual {system:.3e}, "
                        f"eq (1) obstruction {eq_res['1']:.6e}, "

@@ -10,23 +10,23 @@ which is a Lie-algebra homomorphism into the 2x2 skew-Hermitian matrices.
 `h1_elem` places that block in the upper-left corner with the raw t in the
 (3,3) slot; `h2_elem` uses a zero corner instead.  `point_p(theta)` is the
 rotation by theta in the (1,3) coordinate plane, with +sin(theta) in the
-(1,3) entry; `adp_h1_basis` conjugates the h1 generators by it.
+(1,3) entry; `adp_h1_basis` conjugates the h1 generators by a point.
 
-A generator triple is one float array of shape (3, 3, 3, 4): the images of
-the imaginary units i, j, k, in that order, each a 3x3 quaternionic matrix.
+A point of Sp(3) is its quaternionic matrix (3, 3, 4), batched as stacks
+(..., 3, 3, 4).  A generator triple is one float array of shape (3, 3, 3, 4):
+the images of the imaginary units i, j, k, in that order, each a 3x3
+quaternionic matrix.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import liealg
 
 __all__ = [
-    "ThetaPoint",
     "adp_h1_basis",
     "adp_h1_closed_form",
     "h1_basis",
@@ -107,7 +107,7 @@ def h2_basis() -> np.ndarray:
 
 
 def p_matrix(theta) -> np.ndarray:
-    """Rotation by theta in the (1,3) coordinate plane, batched over theta."""
+    """Unchecked rotation by theta in the (1,3) coordinate plane, batched over theta."""
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
     out = np.zeros(theta.shape + (3, 3, 4))
@@ -119,35 +119,30 @@ def p_matrix(theta) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ThetaPoint:
-    """Group element p(theta) together with its angle in radians."""
-
-    theta: float
-    matrix: np.ndarray
-
-
-def point_p(theta: float) -> ThetaPoint:
-    """Construct p(theta); only theta in the open interval (0, pi/2) is accepted."""
-    theta = float(theta)
-    if not 0.0 < theta < np.pi / 2.0:
-        raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
+def point_p(theta) -> np.ndarray:
+    """p(theta) (..., 3, 3, 4), batched over theta; every theta must lie in
+    the open interval (0, pi/2), and every matrix passes a unitarity check."""
+    theta = np.asarray(theta, dtype=float)
+    inside = (0.0 < theta) & (theta < np.pi / 2.0)
+    if not inside.all():
+        first = float(np.extract(~inside, theta)[0])
+        raise ValueError(f"theta must lie in (0, pi/2), got {first!r}")
     matrix = p_matrix(theta)
     gram = liealg.mat_mul(matrix, liealg.conj_transpose(matrix))
     if np.max(np.abs(gram - liealg.identity())) > POINT_UNITARY_TOL:
         raise ValueError("constructed point failed the unitarity check")
-    return ThetaPoint(theta=theta, matrix=matrix)
+    return matrix
 
 
-def adp_h1_basis(pt: ThetaPoint) -> np.ndarray:
-    """h1 generator triple (3, 3, 3, 4) conjugated by p(theta), computed as
-    matrix products."""
-    return liealg.adjoint(pt.matrix, h1_basis())
+def adp_h1_basis(p: np.ndarray) -> np.ndarray:
+    """h1 generator triple conjugated by the point p (..., 3, 3, 4), computed
+    as matrix products: (..., 3, 3, 3, 4), batched over the points."""
+    return liealg.adjoint(np.expand_dims(p, -4), h1_basis())
 
 
-def adp_h1_closed_form(pt: ThetaPoint, t) -> np.ndarray:
-    """Entrywise closed form of the conjugated h1 generator at imaginary t."""
-    c, s = np.cos(pt.theta), np.sin(pt.theta)
+def adp_h1_closed_form(theta: float, t) -> np.ndarray:
+    """Entrywise closed form of the h1 generator at imaginary t conjugated by p(theta)."""
+    c, s = np.cos(theta), np.sin(theta)
     comp = _im_components(t)
     ti, tj, tk = comp[..., 0], comp[..., 1], comp[..., 2]
     zero = np.zeros_like(ti)
@@ -173,8 +168,9 @@ def rho(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float)[..., 2, 2, :]
 
 
-def rho_rank(pt: ThetaPoint) -> int:
-    """Rank of t -> rho(Ad_p h1(t)) as a real-linear map into R^3."""
-    columns = rho(adp_h1_basis(pt))[:, 1:].T
-    svals = np.linalg.svd(columns, compute_uv=False)
-    return int(np.sum(svals > RANK_SV_TOL))
+def rho_rank(p: np.ndarray):
+    """Rank of t -> rho(Ad_p h1(t)) as a real-linear map into R^3, batched
+    over the points p (..., 3, 3, 4); an int at one point."""
+    columns = np.swapaxes(rho(adp_h1_basis(p))[..., 1:], -1, -2)
+    ranks = np.sum(np.linalg.svd(columns, compute_uv=False) > RANK_SV_TOL, axis=-1)
+    return ranks if np.ndim(ranks) else int(ranks)

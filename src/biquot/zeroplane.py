@@ -1,6 +1,6 @@
-"""Zero-curvature-plane criteria at the points p(theta).
+"""Zero-curvature-plane criteria at a point p of Sp(3).
 
-A plane spanned by independent X, Y is flat at p(theta) exactly when three
+A plane spanned by independent X, Y is flat at p exactly when three
 conditions hold:
 
   (A) X and Y are g0-orthogonal to both generator families, the conjugated
@@ -37,6 +37,9 @@ A reduced pair is a float array of shape (7, 4): quaternion components of
 x1, x3, x4, y3.  Every equation and residual here is evaluated on stacks
 (..., 7, 4) of them; `pair_matrices` rebuilds X and Y, and `vw_vectors`
 returns v and w as p-summand matrices (..., 3, 3, 4).
+
+The conditions, `horizontal_basis` and the normal form take a point as its
+matrix (3, 3, 4), at any point of Sp(3); the equations take the angle theta.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ import math
 import numpy as np
 
 from . import embeddings, liealg
-from .embeddings import ThetaPoint
 from .quat import qconj, qmul, qnorm_sq
 
 __all__ = [
@@ -117,15 +119,15 @@ def pair_matrices(pairs) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def condition_basis(pt: ThetaPoint) -> np.ndarray:
-    """Coordinates (6, 21) of the conjugated h1 triple stacked over the h2 triple."""
-    rows = np.concatenate([embeddings.adp_h1_basis(pt), embeddings.h2_basis()])
+def condition_basis(p: np.ndarray) -> np.ndarray:
+    """Coordinates (6, 21) of the h1 triple conjugated by p, stacked over the h2 triple."""
+    rows = np.concatenate([embeddings.adp_h1_basis(p), embeddings.h2_basis()])
     return liealg.vec_sp3(rows)
 
 
-def conditionA_residual(x: np.ndarray, y: np.ndarray, pt: ThetaPoint) -> np.ndarray:
-    """Largest |g0| of x and y against the six generator basis elements."""
-    basis = condition_basis(pt)
+def conditionA_residual(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Largest |g0| of x and y against the six generator basis elements at p."""
+    basis = condition_basis(p)
     pairings_x = liealg.vec_sp3(x) @ basis.T
     pairings_y = liealg.vec_sp3(y) @ basis.T
     return np.max(np.abs(np.concatenate([pairings_x, pairings_y], axis=-1)), axis=-1)
@@ -146,9 +148,9 @@ def conditionB_residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def conditionC_residual(x: np.ndarray, y: np.ndarray, pt: ThetaPoint) -> np.ndarray:
-    """Same stacked norm for the k- and p-brackets of the transported pair."""
-    pinv = liealg.group_inverse(pt.matrix)
+def conditionC_residual(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Same stacked norm for the k- and p-brackets of the pair moved by Ad_{p^-1}."""
+    pinv = liealg.group_inverse(p)
     xk, xp = liealg.split_kp(liealg.adjoint(pinv, x))
     yk, yp = liealg.split_kp(liealg.adjoint(pinv, y))
     return _stacked_norm(
@@ -157,7 +159,7 @@ def conditionC_residual(x: np.ndarray, y: np.ndarray, pt: ThetaPoint) -> np.ndar
     )
 
 
-def normal_form_reduce(x: np.ndarray, y: np.ndarray, pt: ThetaPoint,
+def normal_form_reduce(x: np.ndarray, y: np.ndarray, p: np.ndarray,
                        tol: float = DEPENDENCE_TOL) -> np.ndarray:
     """Replace span{X, Y} by a normal-form pair (X' block-diagonal, Y'
     supported on the third row/column), returned as a reduced pair (7, 4).
@@ -169,7 +171,7 @@ def normal_form_reduce(x: np.ndarray, y: np.ndarray, pt: ThetaPoint,
     """
     x = liealg.require_sp3(x)
     y = liealg.require_sp3(y)
-    if embeddings.rho_rank(pt) != 3:
+    if embeddings.rho_rank(p) != 3:
         raise NormalFormError("corner map is not surjective at this point")
 
     nx, ny = float(liealg.g0_norm(x)), float(liealg.g0_norm(y))
@@ -214,10 +216,10 @@ def normal_form_reduce(x: np.ndarray, y: np.ndarray, pt: ThetaPoint,
     return pair
 
 
-def _require_reduced_range(pt: ThetaPoint) -> tuple[float, float]:
-    if not 0.0 < pt.theta < np.pi / 4.0:
-        raise ValueError(f"reduced equations require theta in (0, pi/4), got {pt.theta!r}")
-    return math.cos(pt.theta), math.sin(pt.theta)
+def _require_reduced_range(theta: float) -> tuple[float, float]:
+    if not 0.0 < theta < np.pi / 4.0:
+        raise ValueError(f"reduced equations require theta in (0, pi/4), got {float(theta)!r}")
+    return math.cos(theta), math.sin(theta)
 
 
 def _vw(slots, c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
@@ -229,10 +231,10 @@ def _vw(slots, c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-def vw_vectors(pairs, pt: ThetaPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Closed forms of the transported p projections v and w of a pair stack
-    (..., 7, 4), as p-summand matrices (..., 3, 3, 4)."""
-    c, s = _require_reduced_range(pt)
+def vw_vectors(pairs, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed forms at p(theta) of the transported p projections v and w of a
+    pair stack (..., 7, 4), as p-summand matrices (..., 3, 3, 4)."""
+    c, s = _require_reduced_range(theta)
     return tuple(_p_summand(r8[..., :4], r8[..., 4:])
                  for r8 in _vw(_pair_slots(pairs), c, s))
 
@@ -253,23 +255,23 @@ def _family_forms(slots, c: float, s: float) -> np.ndarray:
     ], axis=-1)
 
 
-def family_forms(pairs, pt: ThetaPoint) -> np.ndarray:
-    """Signed left-hand sides (..., 9) of the linear families (5i) to (7k),
-    in `EQUATION_LABELS` order, for a pair stack (..., 7, 4)."""
-    c, s = _require_reduced_range(pt)
+def family_forms(pairs, theta: float) -> np.ndarray:
+    """Signed left-hand sides (..., 9) of the linear families (5i) to (7k)
+    at p(theta), in `EQUATION_LABELS` order, for a pair stack (..., 7, 4)."""
+    c, s = _require_reduced_range(theta)
     return _family_forms(_pair_slots(pairs), c, s)
 
 
-def lemma_equations_residuals(pairs, pt: ThetaPoint) -> tuple[np.ndarray, np.ndarray]:
+def lemma_equations_residuals(pairs, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Residuals (..., 3) of conditions (A)(B)(C) and (..., 13) of the
-    thirteen equations, in `EQUATION_LABELS` order, for a pair stack
-    (..., 7, 4); both vanish together on clear-cut inputs.
+    thirteen equations at p(theta), in `EQUATION_LABELS` order, for a pair
+    stack (..., 7, 4); both vanish together on clear-cut inputs.
 
     (1)-(2) are quaternion norms, (3)-(4) scale-free Gram residuals and
     (5)-(7) the absolute linear forms.  (A)(B)(C) are evaluated on the
-    reconstructed matrices, one batched call each.
+    reconstructed matrices at p(theta), one batched call each.
     """
-    c, s = _require_reduced_range(pt)
+    c, s = _require_reduced_range(theta)
     slots = _pair_slots(pairs)
     x1, x2, x3, x4, y1, y2, y3 = slots
     v, w = _vw(slots, c, s)
@@ -281,17 +283,18 @@ def lemma_equations_residuals(pairs, pt: ThetaPoint) -> tuple[np.ndarray, np.nda
     ], axis=-1), np.abs(_family_forms(slots, c, s))], axis=-1)
 
     x, y = pair_matrices(pairs)
+    p = embeddings.point_p(theta)
     abc = np.stack([
-        conditionA_residual(x, y, pt),
+        conditionA_residual(x, y, p),
         conditionB_residual(x, y),
-        conditionC_residual(x, y, pt),
+        conditionC_residual(x, y, p),
     ], axis=-1)
     return abc, eq
 
 
-def horizontal_basis(pt: ThetaPoint) -> np.ndarray:
-    """Orthonormal coordinate basis (21, d) of the condition-(A) subspace."""
-    return liealg.null_space(condition_basis(pt))
+def horizontal_basis(p: np.ndarray) -> np.ndarray:
+    """Orthonormal coordinate basis (21, d) of the condition-(A) subspace at p."""
+    return liealg.null_space(condition_basis(p))
 
 
 def _draw(rng: np.random.Generator, pair: np.ndarray, slots) -> np.ndarray:
@@ -308,9 +311,9 @@ def random_reduced_pair(rng: np.random.Generator) -> np.ndarray:
     return _draw(rng, np.zeros((7, 4)), range(7))
 
 
-def x_side_solution(rng: np.random.Generator, pt: ThetaPoint) -> np.ndarray:
+def x_side_solution(rng: np.random.Generator, theta: float) -> np.ndarray:
     """Reduced pair with zero Y side whose X side solves families (5)/(6) exactly."""
-    c, s = math.cos(pt.theta), math.sin(pt.theta)
+    c, s = math.cos(theta), math.sin(theta)
     pair = _draw(rng, np.zeros((7, 4)), (1, 3))
     x2, x4 = pair[1], pair[3]
     pair[0, 1:] = [
@@ -322,9 +325,9 @@ def x_side_solution(rng: np.random.Generator, pt: ThetaPoint) -> np.ndarray:
     return pair
 
 
-def y_side_solution(rng: np.random.Generator, pt: ThetaPoint) -> np.ndarray:
+def y_side_solution(rng: np.random.Generator, theta: float) -> np.ndarray:
     """Reduced pair with zero X side whose Y side solves family (7) exactly."""
-    c, s = math.cos(pt.theta), math.sin(pt.theta)
+    c, s = math.cos(theta), math.sin(theta)
     pair = _draw(rng, np.zeros((7, 4)), (4, 5))
     y1, y2 = pair[4], pair[5]
     pair[6, 1:] = [

@@ -146,10 +146,9 @@ def pair_terms(points, bases) -> np.ndarray:
     [x, y], the k-k and p-p brackets of the pair, and the same two brackets
     of the pair moved by Ad_{p^-1}, each on wedges of the basis columns."""
     structure, k, p = certify._STRUCTURE, certify._K, certify._P
-    matrices = np.stack([pt.matrix for pt in points])
     basis = np.stack(bases)
     transport = np.swapaxes(liealg.vec_sp3(
-        liealg.adjoint(liealg.group_inverse(matrices)[:, None], certify._UNITS)), 1, 2)
+        liealg.adjoint(liealg.group_inverse(points)[:, None], certify._UNITS)), 1, 2)
     terms = [certify._wedge_terms(basis, structure)]
     for vectors in (basis, transport @ basis):
         terms.append(certify._wedge_terms(vectors[:, k], structure[k, k, k]))

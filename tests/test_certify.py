@@ -175,6 +175,18 @@ def test_identity_suite_all_pass():
     assert scale == pytest.approx((np.pi / 4.0 / 10_001,) * 2, rel=1e-7)
 
 
+def test_factorization_positivity_is_not_rounding_near_zero():
+    # 2c^3 - 3c^2 + 1 cancels near theta = 0; at 20,000 points its expanded
+    # form reads -2.2e-16 there, the factored one stays positive
+    _, signs, _ = checks.scalar_identities(points=20_000)
+    least, end = signs["factorization-positivity"]
+    assert least > 0.0 and end == 0.0
+    # the least value sits at the first grid angle, where 1 - c = theta^2 / 2
+    # to about 1e-10 and 2c + 1 = 3 to about 1e-9
+    first = np.pi / 6.0 / 20_001
+    assert least == pytest.approx(3.0 * (first * first / 2.0) ** 2, rel=1e-8)
+
+
 def test_identity_suite_fails_each_fact_it_cannot_confirm(monkeypatch):
     nan = float("nan")
     monkeypatch.setattr(checks, "scalar_identities", lambda points: (
@@ -204,24 +216,36 @@ def test_search_argmin_is_orthonormal_and_horizontal():
     assert abs(liealg.g0_inner(x, x) - 1.0) <= 1e-10
     assert abs(liealg.g0_inner(y, y) - 1.0) <= 1e-10
     assert abs(liealg.g0_inner(x, y)) <= 1e-10
-    pt = embeddings.point_p(PI12)
-    assert zeroplane.conditionA_residual(x, y, pt) <= 1e-10
+    assert zeroplane.conditionA_residual(x, y, embeddings.point_p(PI12)) <= 1e-10
     assert report.min_residual > 1e-6
 
 
 def test_search_residual_matches_condition_residuals():
     report = certify.search_zero_plane(PI12, starts=4, iterations=100, seed=5)
     x, y = report.argmin_pair
-    pt = embeddings.point_p(PI12)
     b = zeroplane.conditionB_residual(x, y)
-    c = zeroplane.conditionC_residual(x, y, pt)
+    c = zeroplane.conditionC_residual(x, y, embeddings.point_p(PI12))
     assert report.min_residual == pytest.approx(np.hypot(b, c), rel=1e-9)
 
 
+def test_search_runs_at_a_point_off_the_curve():
+    # the polar factor U V^H of a quaternionic Gaussian's complex image is a
+    # point of Sp(3) that no angle reaches
+    rng = np.random.default_rng(11)
+    u, _, vh = np.linalg.svd(liealg.to_complex(rng.standard_normal((3, 3, 4))))
+    q = liealg.from_complex(u @ vh)
+    assert zeroplane.horizontal_basis(q).shape == (21, 15)
+    (report,) = certify._search_rows(q[None], 8, 200, [0])
+    x, y = report.argmin_pair
+    assert zeroplane.conditionA_residual(x, y, q) <= 1e-10
+    assert report.min_residual == pytest.approx(
+        np.hypot(zeroplane.conditionB_residual(x, y), zeroplane.conditionC_residual(x, y, q)),
+        rel=1e-9)
+    assert report.min_residual > 1e-3
+
+
 def test_batched_objective_gradient_and_residuals():
-    thetas = (0.05, PI12, 0.45)
-    points = [embeddings.point_p(theta) for theta in thetas]
-    bases = [zeroplane.horizontal_basis(pt) for pt in points]
+    points, bases = _points_and_bases((0.05, PI12, 0.45))
     angle = np.array([0, 1, 2, 1, 0, 2, 2])
     objective = certify._WedgeObjective(certify._pair_forms(points, bases))
     rng = np.random.default_rng(4)
@@ -244,9 +268,13 @@ def test_batched_objective_gradient_and_residuals():
     assert np.array_equal(objective.value(u[subset], angle[subset]), value[subset])
 
 
+def _points_and_bases(thetas):
+    points = embeddings.point_p(np.asarray(thetas))
+    return points, np.stack([zeroplane.horizontal_basis(p) for p in points])
+
+
 def _pair_forms(thetas):
-    points = [embeddings.point_p(theta) for theta in thetas]
-    return certify._pair_forms(points, [zeroplane.horizontal_basis(pt) for pt in points])
+    return certify._pair_forms(*_points_and_bases(thetas))
 
 
 def _gram_gap(factor, terms):
@@ -258,8 +286,7 @@ def _gram_gap(factor, terms):
 
 def test_pair_forms_factor_the_residual_terms():
     thetas = (0.05, PI12, 0.45, 0.52, 0.60, 1.2)
-    points = [embeddings.point_p(theta) for theta in thetas]
-    bases = [zeroplane.horizontal_basis(pt) for pt in points]
+    points, bases = _points_and_bases(thetas)
     forms = certify._pair_forms(points, bases)
     assert forms.shape == (len(thetas), 105, 47)
     assert np.all(_gram_gap(forms, pair_terms(points, bases)) <= 1e-13)
@@ -280,9 +307,7 @@ def test_bracket_forms_keep_every_bracket_coordinate(basis, width):
 def test_pair_forms_stay_on_the_calling_thread():
     # a BLAS call split over threads leaves the workers spinning after it
     # returns, which charges CPU time while this thread sleeps
-    thetas = np.linspace(0.05, 0.6, 50)
-    points = [embeddings.point_p(theta) for theta in thetas]
-    bases = [zeroplane.horizontal_basis(pt) for pt in points]
+    points, bases = _points_and_bases(np.linspace(0.05, 0.6, 50))
     time.sleep(0.3)
     cpu, wall = time.process_time(), time.perf_counter()
     certify._pair_forms(points, bases)
@@ -415,14 +440,14 @@ def test_batched_search_matches_one_angle_searches(monkeypatch):
     thetas = [0.1, 0.2, 0.3]
     seeds = [3, 100006, 200009]
     # three starts per angle against a two-frame cap: one angle per descent
-    points = [embeddings.point_p(theta) for theta in thetas]
+    points = embeddings.point_p(thetas)
     monkeypatch.setattr(certify, "MAX_DESCENT_FRAMES", 2)
     grouped = certify._search_rows(points, 3, 40, seeds)
     monkeypatch.undo()
     batched = certify._search_rows(points, 3, 40, seeds)
     for theta, seed, a, b in zip(thetas, seeds, grouped, batched):
         single = certify.search_zero_plane(theta, starts=3, iterations=40, seed=seed)
-        assert (a.theta, a.starts, a.iterations) == (theta, 3, 40)
+        assert (a.starts, a.iterations) == (3, 40)
         for report in (a, b):
             assert report.min_residual == pytest.approx(single.min_residual, rel=1e-9)
             assert np.allclose(report.argmin_pair[0], single.argmin_pair[0], atol=1e-9)
@@ -449,7 +474,7 @@ def _assert_same_report(a, b):
 
 
 def test_search_chunks_a_row_larger_than_a_descent(monkeypatch):
-    points, seeds = [embeddings.point_p(0.2), embeddings.point_p(PI12)], [4, 900]
+    points, seeds = embeddings.point_p([0.2, PI12]), [4, 900]
     whole = certify._search_rows(points, 7, 60, seeds)
     sizes = []
     real = certify._newton_search
@@ -645,7 +670,7 @@ def test_certify_theta_verdicts():
 
 
 @pytest.mark.parametrize("target,patch", [
-    ("rho_rank", lambda theta_pt: 2),
+    ("rho_rank", lambda points: np.full(len(points), 2)),
     ("sign_certificate", lambda theta: False),
 ])
 def test_certify_theta_monotone_safety_simple(monkeypatch, target, patch):
@@ -681,7 +706,6 @@ CRITERION_10_GRID = np.linspace(0.05, np.pi / 6.0 - 0.01, 50)
 
 
 def test_certificates_compute_each_axis_reference_once(monkeypatch):
-    points = [embeddings.point_p(theta) for theta in CRITERION_10_GRID]
     real = certify.kernel_reference
     calls = []
 
@@ -690,14 +714,14 @@ def test_certificates_compute_each_axis_reference_once(monkeypatch):
         return real(theta, epsilon)
 
     monkeypatch.setattr(certify, "kernel_reference", counted)
-    certs = certify._certificates(points)
+    certs = certify._certificates(CRITERION_10_GRID, embeddings.point_p(CRITERION_10_GRID))
     assert sorted(calls) == [((50,), -1.0), ((50,), 1.0)]
     assert [cert.verdict for cert in certs] == ["positive"] * 50
 
 
 def test_certificates_equal_one_angle_certificates():
-    thetas = [*CRITERION_10_GRID, 0.6, 1.0, 1.5707963267948961, 1e-300]
-    batch = certify._certificates([embeddings.point_p(theta) for theta in thetas])
+    thetas = np.array([*CRITERION_10_GRID, 0.6, 1.0, 1.5707963267948961, 1e-300])
+    batch = certify._certificates(thetas, embeddings.point_p(thetas))
     for theta, cert in zip(thetas, batch):
         assert cert == certify.certify_theta(theta)
     assert [cert.verdict for cert in batch[-4:]] == ["inconclusive"] * 4

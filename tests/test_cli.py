@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +69,33 @@ def test_check_inconclusive_exit_two(capsys):
     assert "verdict: inconclusive" in out
 
 
-def test_check_invalid_theta_exit_one(capsys):
-    code, _, err = run(capsys, ["check", "--theta", "-1"])
+def _run_without_warnings(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, argv)
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+@pytest.mark.parametrize("theta", ["-1", "nan", "inf"])
+def test_check_invalid_theta_exit_one(capsys, theta):
+    code, out, err = _run_without_warnings(capsys, ["check", "--theta", theta])
     assert code == 1
-    assert "error:" in err
+    assert out == ""
+    assert err == f"error: theta must lie in (0, pi/2), got {float(theta)!r}\n"
+
+
+@pytest.mark.parametrize("lo,hi", [("nan", "0.2"), ("0.1", "inf")])
+def test_scan_non_finite_range_exit_one(tmp_path, capsys, lo, hi):
+    out = tmp_path / "bad.csv"
+    code, stdout, err = _run_without_warnings(capsys, [
+        "scan", "--from", lo, "--to", hi, "--steps", "2", "--starts", "1",
+        "--iterations", "2", "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert err == ("error: scan range must satisfy 0 < from < to < pi/2, "
+                   f"got from={float(lo)!r} to={float(hi)!r}\n")
+    assert not out.exists()
 
 
 def test_check_degrees_flag(capsys):
@@ -230,22 +254,29 @@ def test_scan_reports_memory_error(tmp_path, capsys, monkeypatch):
 
 
 def test_scan_computes_each_point_once(tmp_path, capsys, monkeypatch):
-    computed = []
+    computed, ranked = [], []
 
     def counted(theta):
-        computed.append(theta)
+        computed.append(np.atleast_1d(theta).tolist())
         return embeddings.point_p(theta)
 
+    def counted_rank(points):
+        ranked.append(np.shape(points))
+        return embeddings.rho_rank(points)
+
     monkeypatch.setattr(certify, "point_p", counted)
+    monkeypatch.setattr(certify, "rho_rank", counted_rank)
     out = tmp_path / "points.csv"
     code, _, _ = run(capsys, ["scan", "--from", "0.05", "--to", "0.5", "--steps", "50",
                               "--starts", "1", "--iterations", "2", "--out", str(out)])
     assert code == 0
-    assert len(computed) == len(set(computed)) == 50
+    # one batched call each, over 50 distinct angles
+    assert len(computed) == 1 and len(computed[0]) == len(set(computed[0])) == 50
+    assert ranked == [(50, 3, 3, 4)]
     # nothing outlives the scan: a certificate then computes its own point
     theta = float(out.read_text().splitlines()[8].split(",")[0])
     certify.certify_theta(theta)
-    assert computed[50:] == [theta]
+    assert computed[1:] == [[theta]]
 
 
 def test_scan_invalid_range_exit_one(tmp_path, capsys):
@@ -345,7 +376,7 @@ def test_selftest_detects_injected_sign_flip(capsys, monkeypatch):
 def test_selftest_fails_a_nan_defect(capsys, monkeypatch):
     closed_form = embeddings.adp_h1_closed_form
     monkeypatch.setattr("biquot.embeddings.adp_h1_closed_form",
-                        lambda pt, t: np.full_like(closed_form(pt, t), np.nan))
+                        lambda theta, t: np.full_like(closed_form(theta, t), np.nan))
     code, out, _ = run(capsys, ["selftest"])
     assert code == 1
     assert "FAIL display-reproduction: max entrywise defect nan" in out

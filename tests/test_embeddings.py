@@ -82,16 +82,35 @@ def test_generator_triples_are_read_only():
 
 
 def test_point_p_construction():
-    pt = embeddings.point_p(np.pi / 4.0)
-    assert pt.matrix[0, 0, 0] == pytest.approx(np.sqrt(2.0) / 2.0)
-    assert pt.matrix[0, 2, 0] == pytest.approx(np.sin(np.pi / 4.0))
-    assert pt.matrix[2, 0, 0] == pytest.approx(-np.sin(np.pi / 4.0))
-    assert pt.matrix[1, 1, 0] == 1.0
-    gram = liealg.mat_mul(pt.matrix, liealg.conj_transpose(pt.matrix))
+    p = embeddings.point_p(np.pi / 4.0)
+    assert p.shape == (3, 3, 4)
+    assert p[0, 0, 0] == pytest.approx(np.sqrt(2.0) / 2.0)
+    assert p[0, 2, 0] == pytest.approx(np.sin(np.pi / 4.0))
+    assert p[2, 0, 0] == pytest.approx(-np.sin(np.pi / 4.0))
+    assert p[1, 1, 0] == 1.0
+    gram = liealg.mat_mul(p, liealg.conj_transpose(p))
     assert np.allclose(gram, liealg.identity(), atol=1e-15)
 
 
-@pytest.mark.parametrize("theta", [0.0, -1.0, np.pi / 2.0, 2.0])
+def test_point_p_and_rho_rank_batch_equals_one_point_calls():
+    thetas = np.concatenate([np.random.default_rng(24).uniform(1e-6, np.pi / 2.0 - 1e-6, 40),
+                             [1e-300, np.pi / 12.0, np.pi / 2.0 - 1e-9]])
+    points = embeddings.point_p(thetas)
+    ranks = embeddings.rho_rank(points)
+    assert points.shape == (len(thetas), 3, 3, 4) and ranks.shape == (len(thetas),)
+    for theta, point, rank in zip(thetas, points, ranks):
+        alone = embeddings.point_p(theta)
+        assert np.array_equal(alone, point)
+        assert type(embeddings.rho_rank(alone)) is int
+        assert embeddings.rho_rank(alone) == rank
+    assert ranks[-1] == 1 and np.all(ranks[:-1] == 3)
+    grid = embeddings.point_p(thetas.reshape(-1, 1))
+    assert np.array_equal(grid[:, 0], points)
+    assert np.array_equal(embeddings.rho_rank(grid)[:, 0], ranks)
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, np.pi / 2.0, 2.0, np.nan, np.inf,
+                                   pytest.param([0.2, np.nan], id="stack-with-nan")])
 def test_point_p_rejects_degenerate_angles(theta):
     with pytest.raises(ValueError, match="pi/2"):
         embeddings.point_p(theta)
@@ -103,14 +122,14 @@ def test_adp_h1_matches_closed_form_on_random_angles():
 
 
 def test_adp_h1_specific_entries():
-    pt = embeddings.point_p(0.3)
+    p = embeddings.point_p(0.3)
     c, s = np.cos(0.3), np.sin(0.3)
-    at_i = embeddings.adp_h1_basis(pt)[0]
+    at_i = embeddings.adp_h1_basis(p)[0]
     assert np.max(np.abs(at_i[0, 1])) < 1e-14
     assert np.max(np.abs(at_i[1, 2])) < 1e-14
     assert at_i[0, 2] == pytest.approx([0, -2 * c * s, 0, 0], abs=1e-14)
 
-    at_j = embeddings.adp_h1_basis(pt)[1]
+    at_j = embeddings.adp_h1_basis(p)[1]
     assert at_j[1, 1] == pytest.approx([0, 0, -2, 0], abs=1e-14)
     assert at_j[0, 1] == pytest.approx([0, 0, R3 * c, 0], abs=1e-14)
 
@@ -119,10 +138,10 @@ def test_adp_h1_matches_scalar_adjoint_oracle():
     rng = np.random.default_rng(23)
     from _oracles import scalar_mat_mul
     for _ in range(5):
-        pt = embeddings.point_p(rng.uniform(0.05, 1.5))
-        pinv = liealg.group_inverse(pt.matrix)
-        for elem, computed in zip(embeddings.h1_basis(), embeddings.adp_h1_basis(pt)):
-            brute = scalar_mat_mul(scalar_mat_mul(pt.matrix, elem), pinv)
+        p = embeddings.point_p(rng.uniform(0.05, 1.5))
+        pinv = liealg.group_inverse(p)
+        for elem, computed in zip(embeddings.h1_basis(), embeddings.adp_h1_basis(p)):
+            brute = scalar_mat_mul(scalar_mat_mul(p, elem), pinv)
             assert np.allclose(computed, brute, atol=1e-13)
 
 

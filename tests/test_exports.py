@@ -22,11 +22,11 @@ def test_every_exported_name_exists(name):
     assert missing == []
 
 
-def test_the_only_dataclasses_are_the_reports_the_point_and_the_scalar_quaternion():
-    # checks, residuals and splits return plain values; the scalar Quaternion
-    # is the quaternion-algebra check's oracle
+def test_the_only_dataclasses_are_the_reports_and_the_scalar_quaternion():
+    # checks, residuals and splits return plain values, a point is its
+    # matrix; the scalar Quaternion is the quaternion-algebra check's oracle
     found = sorted(name for module in map(importlib.import_module, MODULES)
                    for name, obj in vars(module).items()
                    if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
                    and obj.__module__ == module.__name__)
-    assert found == ["Certificate", "Quaternion", "SearchReport", "ThetaPoint", "_Descent"]
+    assert found == ["Certificate", "Quaternion", "SearchReport", "_Descent"]

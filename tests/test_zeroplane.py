@@ -3,9 +3,9 @@ import pytest
 from _oracles import mat_from_quaternions, scalar_lemma_equations
 
 from biquot import certify, checks, embeddings, liealg, zeroplane
-from biquot.embeddings import ThetaPoint
 
-PT = embeddings.point_p(np.pi / 12.0)
+THETA = np.pi / 12.0
+PT = embeddings.point_p(THETA)
 
 
 def random_pair(rng):
@@ -87,11 +87,10 @@ def test_conditionB_split_brackets_cancel_for_commuting_pairs():
 
 def test_conditionC_at_identity_complements_conditionB():
     rng = np.random.default_rng(33)
-    pt_identity = ThetaPoint(theta=0.0, matrix=liealg.identity())
     for _ in range(20):
         x, y = random_pair(rng)
         b = zeroplane.conditionB_residual(x, y)
-        c = zeroplane.conditionC_residual(x, y, pt_identity)
+        c = zeroplane.conditionC_residual(x, y, liealg.identity())
         full = liealg.g0_norm(liealg.bracket(x, y))
         assert c * c + full * full == pytest.approx(b * b, rel=1e-12)
 
@@ -146,13 +145,13 @@ def test_normal_form_reduce_rejects_dependent_input():
 def test_normal_form_reduce_rejects_degenerate_corner_map(monkeypatch):
     rng = np.random.default_rng(39)
     x, y = random_pair(rng)
-    monkeypatch.setattr("biquot.zeroplane.embeddings.rho_rank", lambda pt: 2)
+    monkeypatch.setattr("biquot.zeroplane.embeddings.rho_rank", lambda p: 2)
     with pytest.raises(zeroplane.NormalFormError, match="surjective"):
         zeroplane.normal_form_reduce(x, y, PT)
 
 
 def test_vw_zero_pair():
-    v, w = zeroplane.vw_vectors(np.zeros((7, 4)), PT)
+    v, w = zeroplane.vw_vectors(np.zeros((7, 4)), THETA)
     assert np.max(np.abs(v)) == 0.0
     assert np.max(np.abs(w)) == 0.0
 
@@ -165,7 +164,7 @@ def test_vw_vanishes_when_x1_equals_x4_and_x2_zero():
     pair[4] = rng.standard_normal(4)
     pair[5] = rng.standard_normal(4)
     pair[6, 1:] = rng.standard_normal(3)
-    v, _ = zeroplane.vw_vectors(pair, PT)
+    v, _ = zeroplane.vw_vectors(pair, THETA)
     assert np.max(np.abs(v)) == 0.0
 
 
@@ -176,16 +175,15 @@ def test_vw_matches_transported_projection():
 
 
 def test_theta_range_guard():
-    pt_large = embeddings.point_p(1.0)
     pair = np.zeros((7, 4))
     with pytest.raises(ValueError, match="pi/4"):
-        zeroplane.vw_vectors(pair, pt_large)
+        zeroplane.vw_vectors(pair, 1.0)
     with pytest.raises(ValueError, match="pi/4"):
-        zeroplane.lemma_equations_residuals(pair, pt_large)
+        zeroplane.lemma_equations_residuals(pair, 1.0)
 
 
 def test_lemma_equations_zero_pair():
-    abc, eq = zeroplane.lemma_equations_residuals(np.zeros((7, 4)), PT)
+    abc, eq = zeroplane.lemma_equations_residuals(np.zeros((7, 4)), THETA)
     assert np.max(eq) == 0.0
     assert np.max(abc) == 0.0
     assert abc.shape == (3,)
@@ -193,10 +191,10 @@ def test_lemma_equations_zero_pair():
 
 
 def test_lemma_equations_on_kernel_line():
-    theta = float(PT.theta)
+    theta = THETA
     coords = certify.kernel_reference(theta, 1.0)
     pair = certify.reduced_pair_from_axis(coords, "j")
-    eq = dict(zip(zeroplane.EQUATION_LABELS, zeroplane.lemma_equations_residuals(pair, PT)[1]))
+    eq = dict(zip(zeroplane.EQUATION_LABELS, zeroplane.lemma_equations_residuals(pair, THETA)[1]))
     for label in ("2", "3", "4", "5i", "5k", "6i", "6j", "6k", "7i", "7j", "7k"):
         assert eq[label] <= 1e-8, label
     # the one remaining equation is obstructed: its residual is large ...
@@ -208,8 +206,8 @@ def test_lemma_equations_on_kernel_line():
 def test_exact_family_solutions_pass_both_residual_paths():
     rng = np.random.default_rng(42)
     for build in (zeroplane.x_side_solution, zeroplane.y_side_solution):
-        pairs = np.stack([build(rng, PT) for _ in range(10)])
-        abc, eq = zeroplane.lemma_equations_residuals(pairs, PT)
+        pairs = np.stack([build(rng, THETA) for _ in range(10)])
+        abc, eq = zeroplane.lemma_equations_residuals(pairs, THETA)
         assert np.max(eq) <= 1e-12
         assert np.max(abc) <= 1e-12
 
@@ -217,16 +215,15 @@ def test_exact_family_solutions_pass_both_residual_paths():
 def test_random_pairs_fail_both_residual_paths():
     rng = np.random.default_rng(43)
     pairs = np.stack([zeroplane.random_reduced_pair(rng) for _ in range(50)])
-    abc, eq = zeroplane.lemma_equations_residuals(pairs, PT)
+    abc, eq = zeroplane.lemma_equations_residuals(pairs, THETA)
     assert np.all(np.max(eq, axis=-1) > 1e-6)
     assert np.all(np.max(abc, axis=-1) > 1e-6)
 
 
 def test_equivalence_holds_at_wider_angle():
     rng = np.random.default_rng(45)
-    pt = embeddings.point_p(0.6)
     abc, eq = zeroplane.lemma_equations_residuals(
-        checks.mixed_pairs(rng, pt, random=100, sides=5, mixed=0), pt)
+        checks.mixed_pairs(rng, 0.6, random=100, sides=5, mixed=0), 0.6)
     assert np.array_equal(np.max(abc, axis=-1) <= 1e-9, np.max(eq, axis=-1) <= 1e-9)
 
 
@@ -261,9 +258,9 @@ def test_batched_equations_match_scalar_oracle_and_per_pair_conditions():
     rng = np.random.default_rng(46)
     checked = 0
     for theta in (np.pi / 24.0, np.pi / 12.0, np.pi / 8.0):
-        pt = embeddings.point_p(theta)
-        stack = checks.mixed_pairs(rng, pt, random=50, sides=10, mixed=5)
-        abc, eq = zeroplane.lemma_equations_residuals(stack, pt)
+        p = embeddings.point_p(theta)
+        stack = checks.mixed_pairs(rng, theta, random=50, sides=10, mixed=5)
+        abc, eq = zeroplane.lemma_equations_residuals(stack, theta)
         assert abc.shape == (len(stack), 3) and eq.shape == (len(stack), 13)
         for row, got_eq, got_abc in zip(stack, eq, abc):
             # relative to the size of the pair's coordinates
@@ -271,9 +268,9 @@ def test_batched_equations_match_scalar_oracle_and_per_pair_conditions():
             oracle = np.array(scalar_lemma_equations(row, theta))
             assert np.max(np.abs(got_eq - oracle)) <= 1e-12 * scale
             x, y = zeroplane.pair_matrices(row)
-            direct = np.array([zeroplane.conditionA_residual(x, y, pt),
+            direct = np.array([zeroplane.conditionA_residual(x, y, p),
                                zeroplane.conditionB_residual(x, y),
-                               zeroplane.conditionC_residual(x, y, pt)])
+                               zeroplane.conditionC_residual(x, y, p)])
             assert np.max(np.abs(got_abc - direct)) <= 1e-12 * max(1.0, np.max(direct))
             checked += 1
     assert checked >= 200
@@ -283,22 +280,22 @@ def test_batched_equations_keep_leading_axes():
     rng = np.random.default_rng(47)
     pairs = np.stack([zeroplane.random_reduced_pair(rng) for _ in range(10)])
     stack = pairs.reshape(2, 5, 7, 4)
-    abc, eq = zeroplane.lemma_equations_residuals(stack, PT)
+    abc, eq = zeroplane.lemma_equations_residuals(stack, THETA)
     assert eq.shape == (2, 5, 13)
     assert abc.shape == (2, 5, 3)
-    _, single = zeroplane.lemma_equations_residuals(pairs[7], PT)
+    _, single = zeroplane.lemma_equations_residuals(pairs[7], THETA)
     assert single.shape == (13,)
     assert list(eq[1, 2]) == pytest.approx(list(single), rel=1e-12, abs=1e-15)
-    assert zeroplane.family_forms(stack, PT).shape == (2, 5, 9)
+    assert zeroplane.family_forms(stack, THETA).shape == (2, 5, 9)
 
 
 def test_batched_equations_reject_malformed_stacks():
     stack = np.zeros((3, 7, 4))
     with pytest.raises(ValueError, match="trailing shape"):
-        zeroplane.lemma_equations_residuals(np.zeros((3, 6, 4)), PT)
+        zeroplane.lemma_equations_residuals(np.zeros((3, 6, 4)), THETA)
     stack[1, 2, 0] = 1.0  # a real part in the imaginary slot x3
     with pytest.raises(ValueError, match="real part"):
-        zeroplane.lemma_equations_residuals(stack, PT)
+        zeroplane.lemma_equations_residuals(stack, THETA)
     stack[1, 2, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        zeroplane.lemma_equations_residuals(stack, PT)
+        zeroplane.lemma_equations_residuals(stack, THETA)
