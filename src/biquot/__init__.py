@@ -9,7 +9,7 @@ theta in (0, pi/6) has vanishing curvature for the deformed quotient metric.
 from .certify import (
     Certificate,
     SearchReport,
-    bracket_floor,
+    bracket_bounds,
     build_linear_system,
     certify_theta,
     kernel_reference,

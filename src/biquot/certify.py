@@ -31,13 +31,17 @@ a factor of the full form, with no SVD and no rank tolerance.  Each start
 runs a Riemannian Newton method with a per-frame Levenberg shift until its
 gradient norm falls below `GRAD_TOL`, it stalls, or it reaches the
 iteration cap.  `scan` runs that search for all its angles as batched
-descents.  `bracket_floor` refines its sampled minima of the same
-kind of form, the squared bracket on a subspace, with the same method, to
-certify positive bracket floors, the computable form of "commuting implies
-dependent".  It streams its draws in passes of `_SAMPLE_FRAMES` and scores
-each by the value at the orthonormal pair it spans, which the form's
-biquadratic scaling gives without orthonormalizing the draw; only the best
-`refine_starts` draws are orthonormalized and refined.
+descents.
+
+`bracket_bounds` bounds the same kind of form, the squared bracket on a
+subspace, from below, which certifies "commuting implies dependent" there.
+A 4-form vanishes on every decomposable wedge, so the least eigenvalue of
+the form's Gram matrix plus any 4-form matrix is a lower bound on the
+squared bracket of every orthonormal pair (Thorpe, "On the curvature tensor
+of a positively curved 4-manifold", 1972).  `plucker_bound` finds the best
+such 4-form with a small semidefinite program and certifies the result with
+a floating Cholesky factorization and a rounding margin.  The Newton search
+above gives the value the bound is compared with.
 
 Each objective pass cuts the rows of the frames that share a form into
 zero-padded blocks of at most `_BLOCK` rows, a whole number of `_TILE`-row
@@ -53,6 +57,7 @@ orthonormal 2-frames is a closed-form Gram-Schmidt step.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -61,7 +66,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import liealg
-from .embeddings import point_p, rho_rank
+from .embeddings import _angles_in, point_p, rho_rank
 from .liealg import unvec_sp3
 from .zeroplane import horizontal_basis
 
@@ -69,12 +74,13 @@ __all__ = [
     "Certificate",
     "SearchReport",
     "berger_complement_basis",
-    "bracket_floor",
+    "bracket_bounds",
     "build_linear_system",
     "certify_theta",
     "kernel_reference",
     "kernel_solutions",
     "p_subspace_basis",
+    "plucker_bound",
     "reference_match",
     "scan",
     "search_zero_plane",
@@ -111,11 +117,7 @@ def build_linear_system(theta, ell: str) -> np.ndarray:
     families (5), (6) and (7).
     """
     eps = _epsilon(ell)
-    theta = np.asarray(theta, dtype=float)[()]
-    inside = (0.0 < theta) & (theta < np.pi / 2.0)
-    if not inside.all():
-        first = float(np.extract(~inside, theta)[0])
-        raise ValueError(f"theta must lie in (0, pi/2), got {first!r}")
+    theta = _angles_in(theta, np.pi / 2.0, "theta must lie in (0, pi/2)")[()]
     # cos > 0 on every double below np.pi / 2
     c, s = np.cos(theta), np.sin(theta)
     t = s / c
@@ -215,11 +217,7 @@ def sign_certificate(theta):
     (1) would force the same quantity to be +tan(theta) |x2|^2 > 0, so a
     True certificate leaves no nonzero single-axis solution.
     """
-    theta = np.asarray(theta, dtype=float)
-    inside = (0.0 < theta) & (theta < np.pi / 6.0)
-    if not inside.all():
-        first = float(np.extract(~inside, theta)[0])
-        raise ValueError(f"sign certificate is stated on (0, pi/6), got {first!r}")
+    theta = _angles_in(theta, np.pi / 6.0, "sign certificate is stated on (0, pi/6)")
     holds = True
     for eps in (1.0, -1.0):
         ref = _reference_vectors(theta, eps)
@@ -300,8 +298,8 @@ _BLOCK = 32
 _TILE = 4
 # Most frames per pass of `_WedgeObjective.model`, which holds about 40 kB
 # per pair frame.  `value` takes its frames in one pass: no caller passes it
-# more than `MAX_DESCENT_FRAMES`, `_SAMPLE_FRAMES` or `bracket_floor`'s
-# refine_starts, and a descent over that many frames holds more per frame.
+# more than `MAX_DESCENT_FRAMES`, and a descent over that many frames holds
+# more per frame.
 _MODEL_FRAMES = 32
 
 
@@ -454,14 +452,6 @@ def _tangent(comp: np.ndarray, step: np.ndarray) -> np.ndarray:
     return comp @ np.stack([step[:, half:], -step[:, :half]], axis=-1)
 
 
-def _orthogonalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first Gram-Schmidt pass of `_retract`: the first column of the
-    2-frames v (..., d, 2) normalized, and the second minus its part along it."""
-    x = v[..., 0] / np.sqrt(np.einsum("...i,...i->...", v[..., 0], v[..., 0]))[..., None]
-    y = v[..., 1]
-    return x, y - np.einsum("...i,...i->...", x, y)[..., None] * x
-
-
 def _retract(v: np.ndarray) -> np.ndarray:
     """Q factor of the 2-frames v (..., d, 2), up to column signs.
 
@@ -470,8 +460,10 @@ def _retract(v: np.ndarray) -> np.ndarray:
     dependent.  The columns may differ in sign from LAPACK's QR; every
     objective here is even in each column.
     """
-    x, y = _orthogonalize(v)
-    y = y - np.einsum("...i,...i->...", x, y)[..., None] * x
+    x = v[..., 0] / np.sqrt(np.einsum("...i,...i->...", v[..., 0], v[..., 0]))[..., None]
+    y = v[..., 1]
+    for _ in range(2):
+        y = y - np.einsum("...i,...i->...", x, y)[..., None] * x
     y = y / np.sqrt(np.einsum("...i,...i->...", y, y))[..., None]
     return np.stack([x, y], axis=-1)
 
@@ -734,7 +726,7 @@ def search_zero_plane(theta: float, starts: int = 200, iterations: int = 500,
 
 
 # ---------------------------------------------------------------------------
-# Positive bracket floors on distinguished subspaces
+# Certified bracket floors on distinguished subspaces
 # ---------------------------------------------------------------------------
 
 def p_subspace_basis() -> np.ndarray:
@@ -754,36 +746,166 @@ def berger_complement_basis() -> np.ndarray:
     return out
 
 
-# Draws per pass of `bracket_floor`'s sampler.  A pass holds about 1.6 kB
-# per draw on the p summand, so 1,024 draws stay within a 2 MB L2 cache;
-# passes of 2,048 and 4,096 draws ran slower.
-_SAMPLE_FRAMES = 1024
+def _plucker_forms(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Constraint matrices of `plucker_bound` on the wedge coordinates a < b
+    of R^dim, as (rows, cols, signs, starts): matrix i holds signs[k] at
+    (rows[k], cols[k]) for k from starts[i] up to the next start.
+
+    Matrix 0 is the identity.  Matrix 1 + q is Omega(e_abcd) for the q-th
+    a < b < c < d, with w^T Omega w = 2 (w_ab w_cd - w_ac w_bd + w_ad w_bc):
+    the Plucker relation, which vanishes on every decomposable w = x ^ y.
+    No two nonzeros share a position.
+    """
+    a, b = np.triu_indices(dim, 1)
+    wedges = len(a)
+    index = np.zeros((dim, dim), dtype=np.intp)
+    index[a, b] = np.arange(wedges)
+    a, b, c, d = np.array(list(itertools.combinations(range(dim), 4)),
+                          dtype=np.intp).reshape(-1, 4).T
+    ab, cd, ac, bd, ad, bc = (index[a, b], index[c, d], index[a, c], index[b, d],
+                              index[a, d], index[b, c])
+    diag = np.arange(wedges)
+    rows = np.concatenate([diag, np.stack([ab, cd, ac, bd, ad, bc], axis=-1).ravel()])
+    cols = np.concatenate([diag, np.stack([cd, ab, bd, ac, bc, ad], axis=-1).ravel()])
+    signs = np.concatenate([np.ones(wedges), np.tile([1.0, 1.0, -1.0, -1.0, 1.0, 1.0], len(a))])
+    return rows, cols, signs, np.concatenate([[0], wedges + 6 * np.arange(len(a))])
 
 
-def _sample_scores(objective: _WedgeObjective, draws: np.ndarray) -> np.ndarray:
-    """The objective at the orthonormalized draws (n, d, 2), without
-    orthonormalizing them: it is biquadratic in (x, y) and depends on y only
-    through x ^ y, so it equals value(x / |x|, y') / |y'|^2, with y' the part
-    of y orthogonal to x.  y' is the first pass of `_retract`, which keeps the
-    score within rounding of the retracted frame's value even for nearly
-    dependent columns."""
-    x, y = _orthogonalize(draws)
-    return objective.value(np.stack([x, y], axis=-1)) / np.einsum("...i,...i->...", y, y)
+def _max_step(half: np.ndarray, direction: np.ndarray) -> float:
+    """Largest t <= 1 with Z + t D positive semidefinite, for Z = L L^T,
+    `half` = L^-1 and D = `direction`."""
+    least = np.linalg.eigvalsh(half @ direction @ half.T)[0]
+    return 1.0 if least >= 0.0 else min(1.0, -1.0 / least)
 
 
-def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
-                  refine_starts: int = 32, refine_iterations: int = 300) -> float:
-    """Minimized squared bracket norm over orthonormal pairs in a subspace.
+# Most interior-point iterations of `plucker_bound`, and the duality gap,
+# relative to the mean eigenvalue of the Gram matrix, at which it stops.
+# Each iteration cuts the gap about a hundredfold.
+_SDP_ITERATIONS = 50
+_SDP_GAP = 1e-12
 
-    `samples` random pairs are drawn from one normal stream, `_SAMPLE_FRAMES`
-    at a time, and scored by the squared bracket of the orthonormal pair
-    each spans, without orthonormalizing it (`_sample_scores`).  The best
-    `refine_starts` draws are kept as the stream goes by.  Only those are
-    orthonormalized and refined by the same Newton search the plane search
-    uses, for at most `refine_iterations` iterations each.  The floor is the
-    least refined value; refinement never raises a value, so it is at most
-    the least sampled one.  A strictly positive floor certifies that
-    commuting pairs in the subspace are dependent.
+
+def plucker_bound(terms) -> float:
+    """Certified lower bound on |(x ^ y) T|^2 over orthonormal pairs (x, y)
+    of R^d, for the terms T (d(d-1)/2, K) on wedge coordinates a < b.
+
+    An orthonormal pair's wedge w is a unit vector on which every 4-form
+    matrix Omega vanishes (`_plucker_forms`), so w T T^T w^T is at least
+    b whenever S = T T^T - Omega - b I is positive semidefinite.  The
+    largest such b is a semidefinite program (Vandenberghe and Boyd,
+    "Semidefinite programming", SIAM Review 38, 1996), solved here by a
+    primal-dual interior-point method with the HKM direction and Mehrotra's
+    predictor-corrector.  Both start points are feasible: X = I / n, and
+    Omega = 0 with b at minus the mean eigenvalue of T T^T.  The loop stops at
+    a duality gap of `_SDP_GAP` times that mean, after `_SDP_ITERATIONS`
+    iterations, or when a step fails a factorization; every dual point kept
+    has had its S, as computed, factored by a floating Cholesky.
+
+    The Schur complement M_ij = <F_i, X F_j S^-1> takes X F_j from the
+    nonzeros of F_j and multiplies all of them by S^-1 in one stacked
+    product, one small gemm per matrix, and sums each <F_i, .> over the
+    nonzeros of F_i; no product is large enough for OpenBLAS to split it
+    over threads.
+
+    The certificate: the computed S took one rounding per entry (every
+    entry of Omega is exactly one +-omega_i), so it is within
+    gamma_K |T||T|^T + u |S| of the exact matrix, entrywise, and the 2-norm
+    of that is at most its largest row sum.  Its floating Cholesky ran to
+    completion, so its least eigenvalue is above -alpha tr S, with
+    alpha = gamma_(n+1) / (1 - gamma_(n+1)) (Rump, "Verification of positive
+    definiteness", BIT 46, 2006).  The bound is b less twice the sum of the
+    two, which covers the rounding of the margin itself; the entries here
+    are far from underflow.
+    """
+    terms = np.asarray(terms, dtype=float)
+    wedges = len(terms) if terms.ndim == 2 else 0
+    dim = math.isqrt(2 * wedges) + 1
+    if wedges == 0 or math.comb(dim, 2) != wedges:
+        raise ValueError("terms must be a 2-D array with d(d-1)/2 rows, d >= 2, "
+                         f"got shape {terms.shape}")
+    if not np.all(np.isfinite(terms)):
+        raise ValueError("terms must be finite")
+    rows, cols, signs, starts = _plucker_forms(dim)
+    owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows)))
+    unit = np.zeros(len(starts))
+    unit[0] = 1.0
+
+    def combine(y):
+        out = np.zeros((wedges, wedges))
+        out[rows, cols] = signs * y[owner]
+        return out
+
+    def pair(z):
+        return np.add.reduceat(signs * z[..., rows, cols], starts, axis=-1)
+
+    def direction(x, s_inv, schur, centering, corrector):
+        # (dy, dS, dX) toward X S = centering I, with the second-order
+        # `corrector` term; dS = -sum_i dy_i F_i keeps the dual feasible
+        dy = np.linalg.solve(schur, unit - centering * pair(s_inv) + pair(corrector @ s_inv))
+        ds = -combine(dy)
+        dx = centering * s_inv - x - (x @ ds + corrector) @ s_inv
+        return dy, ds, 0.5 * (dx + dx.T)
+
+    gram = terms @ terms.T
+    scale = np.trace(gram) / wedges or 1.0
+    x, y = np.eye(wedges) / wedges, -scale * unit
+    slack = gram - combine(y)
+    factor = np.linalg.cholesky(slack)
+    for _ in range(_SDP_ITERATIONS):
+        gap = np.vdot(x, slack)
+        if gap <= _SDP_GAP * scale:
+            break
+        try:
+            s_half = np.linalg.inv(factor)
+            s_inv = s_half.T @ s_half
+            x_half = np.linalg.inv(np.linalg.cholesky(x))
+            # column c of X F_j is signs[k] times column r of X, for each
+            # nonzero (r, c) of F_j, and X is symmetric
+            moved = np.zeros((len(starts), wedges, wedges))
+            moved[owner, :, cols] = signs[:, None] * x[rows]
+            schur = pair(moved @ s_inv)
+            schur = 0.5 * (schur + schur.T)
+            dy, ds, dx = direction(x, s_inv, schur, 0.0, np.zeros_like(x))
+            step_x, step_s = _max_step(x_half, dx), _max_step(s_half, ds)
+            sigma = (np.vdot(x + step_x * dx, slack + step_s * ds) / gap) ** 3
+            dy, ds, dx = direction(x, s_inv, schur, sigma * gap / wedges, dx @ ds)
+            step_x, step_s = _max_step(x_half, dx), _max_step(s_half, ds)
+            damp = 0.9 + 0.09 * min(step_x, step_s)
+            trial = y + damp * step_s * dy
+            trial_slack = gram - combine(trial)
+            factor = np.linalg.cholesky(trial_slack)
+        except np.linalg.LinAlgError:
+            break
+        x = x + damp * step_x * dx
+        y, slack = trial, trial_slack
+    u = np.finfo(float).eps / 2.0
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    rump = gamma(wedges + 1) / (1.0 - gamma(wedges + 1)) * np.trace(slack)
+    formed = (gamma(terms.shape[1]) * (np.abs(terms) @ np.abs(terms).T)
+              + u * np.abs(slack)).sum(axis=1).max()
+    return float(y[0] - 2.0 * (rump + formed))
+
+
+# Random start frames, and the iteration cap, of the search that gives
+# `bracket_bounds` its attained value; on both subspaces every start
+# converges within a dozen iterations.
+_ATTAIN_STARTS = 8
+_ATTAIN_ITERATIONS = 50
+
+
+def bracket_bounds(subspace: np.ndarray, seed: int = 0) -> tuple[float, float]:
+    """Certified lower bound, and attained value, of the squared bracket
+    norm over orthonormal pairs in a subspace.
+
+    The bound is `plucker_bound` of the bracket's terms on the subspace; a
+    strictly positive bound certifies that commuting pairs in the subspace
+    are dependent.  The attained value is the least that `_newton_search`
+    reaches from `_ATTAIN_STARTS` orthonormalized normal frames drawn from
+    `seed`, for at most `_ATTAIN_ITERATIONS` iterations each; it is the
+    squared bracket of a pair, so the minimum lies between the two.
     `subspace` holds the coordinates (21, d) of an orthonormal basis, d >= 2,
     with max |B^T B - I| at most 1e-10.
     """
@@ -800,25 +922,11 @@ def bracket_floor(subspace: np.ndarray, samples: int = 100_000, seed: int = 0,
     seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed!r}")
-    samples = _integer("samples", samples)
-    refine_starts = _integer("refine_starts", refine_starts)
-    refine_iterations = _integer("refine_iterations", refine_iterations)
-    for name, size, least in (("samples", samples, 1), ("refine_starts", refine_starts, 1),
-                              ("refine_iterations", refine_iterations, 0)):
-        if size < least:
-            raise ValueError(f"{name} must be at least {least}, got {size!r}")
-    dim = subspace.shape[1]
-    objective = _WedgeObjective(_bracket_form(subspace)[None])
-    rng = np.random.default_rng(seed)
-    pool, scores = np.empty((0, dim, 2)), np.empty(0)
-    for first in range(0, samples, _SAMPLE_FRAMES):
-        draws = rng.standard_normal((min(_SAMPLE_FRAMES, samples - first), dim, 2))
-        pool = np.concatenate([pool, draws])
-        scores = np.concatenate([scores, _sample_scores(objective, draws)])
-        if len(scores) > refine_starts:
-            keep = np.argpartition(scores, refine_starts - 1)[:refine_starts]
-            pool, scores = pool[keep], scores[keep]
-    return float(_newton_search(objective, _retract(pool), refine_iterations).value.min())
+    terms = _bracket_form(subspace)
+    frames = _retract(np.random.default_rng(seed).standard_normal(
+        (_ATTAIN_STARTS, subspace.shape[1], 2)))
+    attained = _newton_search(_WedgeObjective(terms[None]), frames, _ATTAIN_ITERATIONS).value
+    return plucker_bound(terms), float(attained.min())
 
 
 # ---------------------------------------------------------------------------

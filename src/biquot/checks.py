@@ -225,11 +225,12 @@ def scalar_identities(points: int) -> tuple[tuple[int, ...], dict[str, tuple[flo
             (float(np.min(c * s / (c**2 - s**2))), float(np.min(s / c))))
 
 
-def positivity_floors(p_seed: int, berger_seed: int, samples: int) -> tuple[float, float]:
-    """`certify.bracket_floor` on the p summand and the sp(2) complement of h2."""
-    return (certify.bracket_floor(certify.p_subspace_basis(), samples=samples, seed=p_seed),
-            certify.bracket_floor(certify.berger_complement_basis(),
-                                  samples=samples, seed=berger_seed))
+def positivity_floors(p_seed: int, berger_seed: int) -> tuple[tuple[float, float],
+                                                              tuple[float, float]]:
+    """`certify.bracket_bounds`, the certified bound and the attained value,
+    on the p summand and on the sp(2) complement of h2."""
+    return (certify.bracket_bounds(certify.p_subspace_basis(), p_seed),
+            certify.bracket_bounds(certify.berger_complement_basis(), berger_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +332,11 @@ def _suite_sign_certificate():
 
 
 def _suite_positivity_floors():
-    p_floor, berger_floor = positivity_floors(909, 910, samples=100_000)
-    return ("positivity-floors", p_floor >= 1e-6 and berger_floor >= 1e-6,
-            f"min |bracket|^2 over orthonormal pairs: p summand {p_floor:.9f}, "
-            f"sp(2) complement of h2 {berger_floor:.9f}")
+    (p_bound, p_value), (berger_bound, berger_value) = positivity_floors(909, 910)
+    return ("positivity-floors", p_bound >= 1e-6 and berger_bound >= 1e-6,
+            f"min |bracket|^2 over orthonormal pairs, certified bound and attained "
+            f"value: p summand {p_bound:.9f} and {p_value:.9f}, "
+            f"sp(2) complement of h2 {berger_bound:.9f} and {berger_value:.9f}")
 
 
 SELFTEST_SUITES = (

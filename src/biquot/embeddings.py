@@ -119,15 +119,20 @@ def p_matrix(theta) -> np.ndarray:
     return out
 
 
+def _angles_in(theta, upper: float, statement: str) -> np.ndarray:
+    """theta as a float array, each angle checked to lie in (0, upper); the
+    error is `statement` and the first angle outside, so NaN fails too."""
+    theta = np.asarray(theta, dtype=float)
+    inside = (0.0 < theta) & (theta < upper)
+    if not inside.all():
+        raise ValueError(f"{statement}, got {float(np.extract(~inside, theta)[0])!r}")
+    return theta
+
+
 def point_p(theta) -> np.ndarray:
     """p(theta) (..., 3, 3, 4), batched over theta; every theta must lie in
     the open interval (0, pi/2), and every matrix passes a unitarity check."""
-    theta = np.asarray(theta, dtype=float)
-    inside = (0.0 < theta) & (theta < np.pi / 2.0)
-    if not inside.all():
-        first = float(np.extract(~inside, theta)[0])
-        raise ValueError(f"theta must lie in (0, pi/2), got {first!r}")
-    matrix = p_matrix(theta)
+    matrix = p_matrix(_angles_in(theta, np.pi / 2.0, "theta must lie in (0, pi/2)"))
     gram = liealg.mat_mul(matrix, liealg.conj_transpose(matrix))
     if np.max(np.abs(gram - liealg.identity())) > POINT_UNITARY_TOL:
         raise ValueError("constructed point failed the unitarity check")

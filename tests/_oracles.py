@@ -163,10 +163,12 @@ def bracket_terms(subspace: np.ndarray) -> np.ndarray:
 
 def retracted_bracket_floor(subspace: np.ndarray, samples: int, seed: int,
                             refine_starts: int = 32, refine_iterations: int = 300) -> float:
-    """`certify.bracket_floor` as it sampled before it streamed: every draw
-    orthonormalized and scored in chunks of 20,000, the best `refine_starts`
-    of each chunk ranked by a full sort, and the floor the smaller of the best
-    sample and the best refined frame."""
+    """Least squared bracket over orthonormal pairs in `subspace` that
+    sampling finds, an upper bound on the minimum independent of the
+    certified bound: every draw orthonormalized and scored in chunks of
+    20,000, the best `refine_starts` of each chunk ranked by a full sort and
+    Newton-refined, and the floor the smaller of the best sample and the
+    best refined frame."""
     objective = certify._WedgeObjective(certify._bracket_form(subspace)[None])
     rng = np.random.default_rng(seed)
     best_value = math.inf

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -11,6 +12,8 @@ from biquot import certify, checks, embeddings, liealg, zeroplane
 
 R3 = np.sqrt(3.0)
 PI12 = np.pi / 12.0
+# the p summand's first three coordinates and two commuting k coordinates
+COMMUTING_SUBSPACE = np.eye(21)[:, [0, 3, 13, 14, 15]]
 
 # closed-form kernel at theta = pi/12, ell = j, in the (x2) = -sqrt(3)cos gauge
 FROZEN_KERNEL_J = np.array([
@@ -35,6 +38,25 @@ def test_linear_system_rejects_bad_inputs():
         certify.build_linear_system(0.3, "i")
     with pytest.raises(ValueError, match="pi/2"):
         certify.build_linear_system(2.0, "j")
+
+
+@pytest.mark.parametrize("check,upper,statement", [
+    (embeddings.point_p, np.pi / 2.0, "theta must lie in (0, pi/2)"),
+    (lambda theta: certify.build_linear_system(theta, "j"), np.pi / 2.0,
+     "theta must lie in (0, pi/2)"),
+    (certify.sign_certificate, np.pi / 6.0, "sign certificate is stated on (0, pi/6)"),
+], ids=["point_p", "build_linear_system", "sign_certificate"])
+@pytest.mark.parametrize("theta,first", [
+    (np.nan, "nan"), (0.0, "0.0"), ("upper", "upper"), ([0.1, "upper", np.nan, 0.0], "upper"),
+], ids=["nan", "zero", "upper", "mixed"])
+def test_angle_range_checks_name_the_first_bad_angle(check, upper, statement, theta, first):
+    def at(value):
+        return upper if value == "upper" else value
+
+    theta = [at(value) for value in theta] if isinstance(theta, list) else at(theta)
+    first = repr(upper) if first == "upper" else first
+    with pytest.raises(ValueError, match=f"^{re.escape(statement)}, got {first}$"):
+        check(theta)
 
 
 def test_reference_annihilated_by_system():
@@ -544,58 +566,85 @@ def test_search_floor_positive_across_window():
         assert report.min_residual >= 1e-8
 
 
-def test_bracket_floor_quick():
-    p_floor = certify.bracket_floor(certify.p_subspace_basis(), samples=2000, seed=1,
-                                    refine_starts=8, refine_iterations=120)
-    assert 1e-6 <= p_floor <= 0.5 + 1e-6
-    berger = certify.bracket_floor(certify.berger_complement_basis(), samples=2000,
-                                   seed=2, refine_starts=8, refine_iterations=120)
-    assert 1e-6 <= berger <= 0.4 + 1e-6
-
-
 BRACKET_BASES = {"p": certify.p_subspace_basis(),
                  "berger-complement": certify.berger_complement_basis()}
 
 
-@pytest.mark.parametrize("subspace,seed,samples,refine_starts", [
-    ("p", 909, 100_000, 32),
-    ("berger-complement", 910, 100_000, 32),
-    ("p", 1009, 100_000, 32),
-    ("berger-complement", 1010, 100_000, 32),
-    ("p", 7, 3 * certify._SAMPLE_FRAMES + 5, 5),
-    ("berger-complement", 8, 20, 32),
-], ids=["p-909", "berger-910", "p-1009", "berger-1010", "p-ragged-pass", "berger-few-samples"])
-def test_bracket_floor_matches_the_retracting_sampler(subspace, seed, samples, refine_starts):
+@pytest.mark.parametrize("dim", [4, 7, 8])
+def test_plucker_forms_vanish_on_decomposable_wedges(dim):
+    # a wrong sign would make the bound invalid, and on the two symmetric
+    # subspaces no other check would notice
+    rows, cols, signs, starts = certify._plucker_forms(dim)
+    wedges = dim * (dim - 1) // 2
+    forms = np.zeros((len(starts), wedges, wedges))
+    forms[np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows))), rows, cols] = signs
+    assert np.array_equal(forms[0], np.eye(wedges))
+    forms = forms[1:]
+    assert len(forms) == math.comb(dim, 4)
+    assert np.array_equal(forms, np.swapaxes(forms, 1, 2))
+    assert np.all(np.count_nonzero(forms, axis=(1, 2)) == 6)
+    a, b = np.triu_indices(dim, 1)
+    rng = np.random.default_rng(17)
+    pairs = certify._retract(rng.standard_normal((50, dim, 2)))
+    wedge = pairs[:, a, 0] * pairs[:, b, 1] - pairs[:, b, 0] * pairs[:, a, 1]
+    values = np.einsum("si,fij,sj->fs", wedge, forms, wedge)
+    assert np.max(np.abs(values)) <= 1e-14
+    generic = rng.standard_normal(wedges)
+    assert np.min(np.abs(np.einsum("i,fij,j->f", generic, forms, generic))) > 1e-6
+
+
+@pytest.mark.parametrize("subspace,seed", [("p", 909), ("berger-complement", 910),
+                                           ("p", 1009), ("berger-complement", 1010)])
+def test_bracket_bounds_bracket_the_minimum(subspace, seed):
     basis = BRACKET_BASES[subspace]
-    streamed = certify.bracket_floor(basis, samples=samples, seed=seed,
-                                     refine_starts=refine_starts)
-    assert streamed == retracted_bracket_floor(basis, samples, seed, refine_starts)
+    bound, attained = certify.bracket_bounds(basis, seed)
+    floor = {"p": 0.5, "berger-complement": 0.4}[subspace]
+    assert floor - 1e-10 <= bound <= floor
+    assert abs(attained - floor) <= 1e-12
+    # the sampler the bound replaced, as an independent upper bound
+    sampled = retracted_bracket_floor(basis, 2000, seed)
+    assert bound <= sampled <= bound + 1e-9
 
 
-@pytest.mark.parametrize("subspace", BRACKET_BASES)
-def test_sample_scores_are_the_retracted_values(subspace):
-    basis = BRACKET_BASES[subspace]
-    objective = certify._WedgeObjective(certify._bracket_form(basis)[None])
-    rng = np.random.default_rng(31)
-    draws = rng.standard_normal((400, basis.shape[1], 2))
-    # the second half: columns 1e-6 rad apart, of unequal lengths
-    x = certify._retract(draws[200:])
-    draws[200:, :, 1] = (math.cos(1e-6) * x[..., 0] + math.sin(1e-6) * x[..., 1]) * 3.0
-    draws[200:, :, 0] = x[..., 0] * 0.5
-    expected = objective.value(certify._retract(draws))
-    assert np.max(np.abs(certify._sample_scores(objective, draws) / expected - 1.0)) <= 1e-12
+def test_bracket_bound_is_below_the_attained_value_on_a_random_subspace():
+    basis = np.linalg.qr(np.random.default_rng(5).standard_normal((21, 6)))[0]
+    bound, attained = certify.bracket_bounds(basis, 3)
+    assert 0.05 <= bound <= attained <= bound + 1e-9
 
 
-def test_sampler_passes_reproduce_one_stream(monkeypatch):
-    frames, dim = certify._SAMPLE_FRAMES, 8
-    rng = np.random.default_rng(909)
-    passes = [rng.standard_normal((count, dim, 2)) for count in (frames, frames, 37)]
-    whole = np.random.default_rng(909).standard_normal((2 * frames + 37, dim, 2))
-    assert np.array_equal(np.concatenate(passes), whole)
-    basis = certify.p_subspace_basis()
-    floor = certify.bracket_floor(basis, samples=2000, seed=3, refine_starts=4)
-    monkeypatch.setattr(certify, "_SAMPLE_FRAMES", 3)
-    assert certify.bracket_floor(basis, samples=2000, seed=3, refine_starts=4) == floor
+def test_bracket_bounds_are_zero_on_a_subspace_with_a_commuting_pair():
+    # coordinates 0 and 3 are the i-parts of two diagonal entries
+    bound, attained = certify.bracket_bounds(COMMUTING_SUBSPACE, 0)
+    assert -1e-12 <= bound <= 1e-12
+    assert 0.0 <= attained <= 1e-12
+
+
+def test_plucker_bound_stays_on_the_calling_thread():
+    terms = certify._bracket_form(certify.p_subspace_basis())
+    time.sleep(0.3)
+    cpu, wall = time.process_time(), time.perf_counter()
+    certify.plucker_bound(terms)
+    wall = time.perf_counter() - wall
+    time.sleep(0.3)
+    assert time.process_time() - cpu - wall <= 0.02
+
+
+@pytest.mark.parametrize("terms,message", [
+    (np.zeros((2, 3)), "2-D array with d\\(d-1\\)/2 rows"),
+    (np.zeros((0, 3)), "2-D array"),
+    (np.zeros(6), "2-D array"),
+    (np.full((6, 2), np.nan), "finite"),
+], ids=["two-rows", "no-rows", "1-d", "nan"])
+def test_plucker_bound_rejects_bad_terms(terms, message):
+    with pytest.raises(ValueError, match=f"^terms must be (a )?{message}"):
+        certify.plucker_bound(terms)
+
+
+def test_plucker_bound_is_the_least_eigenvalue_below_four_dimensions():
+    # every wedge in R^2 and R^3 is decomposable, and there are no 4-forms
+    terms = np.random.default_rng(4).standard_normal((3, 5))
+    least = np.linalg.eigvalsh(terms @ terms.T)[0]
+    assert least - 1e-10 <= certify.plucker_bound(terms) <= least
 
 
 def _skewed_p_basis():
@@ -606,9 +655,6 @@ def _skewed_p_basis():
 
 
 @pytest.mark.parametrize("name,value,message", [
-    pytest.param("samples", 0, "must be at least", id="samples-0"),
-    pytest.param("refine_starts", 0, "must be at least", id="refine_starts-0"),
-    pytest.param("refine_iterations", -1, "must be at least", id="refine_iterations--1"),
     pytest.param("seed", -1, "must be non-negative, got -1", id="seed--1"),
     pytest.param("subspace", np.eye(21)[:, :1], "must be a 2-D array", id="subspace-1-column"),
     pytest.param("subspace", np.eye(21)[:, :0], "must be a 2-D array", id="subspace-0-columns"),
@@ -622,18 +668,16 @@ def _skewed_p_basis():
                  id="subspace-skewed"),
 ])
 def test_bracket_floor_rejects_bad_sizes(name, value, message):
-    kwargs = {"subspace": certify.p_subspace_basis(), "samples": 10, name: value}
+    kwargs = {"subspace": certify.p_subspace_basis(), "seed": 0, name: value}
     with pytest.raises(ValueError, match=f"^{name} {message}"):
-        certify.bracket_floor(**kwargs)
+        certify.bracket_bounds(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["samples", "seed", "refine_starts", "refine_iterations"])
+@pytest.mark.parametrize("name", ["seed"])
 def test_bracket_floor_rejects_non_integral_sizes(name):
-    kwargs = {"samples": 10, "refine_starts": 2, "refine_iterations": 3, name: 1.5}
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5"):
-        certify.bracket_floor(certify.p_subspace_basis(), **kwargs)
-    kwargs[name] = np.int64(2)
-    assert certify.bracket_floor(certify.p_subspace_basis(), **kwargs) > 0.0
+        certify.bracket_bounds(certify.p_subspace_basis(), **{name: 1.5})
+    assert certify.bracket_bounds(certify.p_subspace_basis(), **{name: np.int64(2)})[0] > 0.0
 
 
 def test_subspace_bases():

@@ -373,6 +373,16 @@ def test_selftest_detects_injected_sign_flip(capsys, monkeypatch):
     assert "FAILED: phi3-homomorphism" in out
 
 
+def test_selftest_fails_the_floors_on_a_subspace_with_a_commuting_pair(capsys, monkeypatch):
+    # coordinates 0 and 3 are the i-parts of two diagonal entries, so they commute
+    monkeypatch.setattr("biquot.certify.p_subspace_basis",
+                        lambda: np.eye(21)[:, [0, 3, 13, 14, 15]])
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    assert "FAIL positivity-floors" in out
+    assert out.splitlines()[-1] == "FAILED: positivity-floors"
+
+
 def test_selftest_fails_a_nan_defect(capsys, monkeypatch):
     closed_form = embeddings.adp_h1_closed_form
     monkeypatch.setattr("biquot.embeddings.adp_h1_closed_form",
