@@ -606,6 +606,54 @@ def test_bracket_bounds_bracket_the_minimum(subspace, seed):
     assert bound <= sampled <= bound + 1e-9
 
 
+def test_bracket_floor_quick():
+    p_bound, p_attained = certify.bracket_bounds(certify.p_subspace_basis(), seed=1)
+    assert 1e-6 <= p_bound <= p_attained <= 0.5 + 1e-6
+    berger_bound, berger_attained = certify.bracket_bounds(certify.berger_complement_basis(),
+                                                           seed=2)
+    assert 1e-6 <= berger_bound <= berger_attained <= 0.4 + 1e-6
+
+
+@pytest.mark.parametrize("subspace,seed,samples,refine_starts", [
+    ("p", 909, 100_000, 32),
+    ("berger-complement", 910, 100_000, 32),
+    ("p", 1009, 100_000, 32),
+    ("berger-complement", 1010, 100_000, 32),
+    ("p", 7, 3 * 1024 + 5, 5),
+    ("berger-complement", 8, 20, 32),
+], ids=["p-909", "berger-910", "p-1009", "berger-1010", "p-ragged-pass", "berger-few-samples"])
+def test_bracket_floor_matches_the_retracting_sampler(subspace, seed, samples, refine_starts):
+    # at the sizes the certified bound replaced: a full run, a last chunk of
+    # 5 draws past a multiple of 1024, and fewer draws than refine starts
+    basis = BRACKET_BASES[subspace]
+    bound, attained = certify.bracket_bounds(basis, seed)
+    sampled = retracted_bracket_floor(basis, samples, seed, refine_starts)
+    assert bound <= sampled <= bound + 1e-9
+    assert bound <= attained <= bound + 1e-9
+
+
+@pytest.mark.parametrize("subspace", BRACKET_BASES)
+def test_sample_scores_are_the_retracted_values(subspace):
+    # every retracted frame's score is the squared bracket of its pair, and
+    # no score lies below the certified bound
+    basis = BRACKET_BASES[subspace]
+    objective = certify._WedgeObjective(certify._bracket_form(basis)[None])
+    rng = np.random.default_rng(31)
+    draws = rng.standard_normal((400, basis.shape[1], 2))
+    # the second half: columns 1e-6 rad apart, of unequal lengths
+    x = certify._retract(draws[200:])
+    draws[200:, :, 1] = (math.cos(1e-6) * x[..., 0] + math.sin(1e-6) * x[..., 1]) * 3.0
+    draws[200:, :, 0] = x[..., 0] * 0.5
+    frames = certify._retract(draws)
+    gram = np.swapaxes(frames, 1, 2) @ frames
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+    pair = liealg.unvec_sp3(np.swapaxes(basis @ frames, 1, 2))
+    expected = liealg.g0_inner(*[liealg.bracket(pair[:, 0], pair[:, 1])] * 2)
+    scores = objective.value(frames)
+    assert np.max(np.abs(scores / expected - 1.0)) <= 1e-12
+    assert np.min(scores) >= certify.bracket_bounds(basis, 0)[0]
+
+
 def test_bracket_bound_is_below_the_attained_value_on_a_random_subspace():
     basis = np.linalg.qr(np.random.default_rng(5).standard_normal((21, 6)))[0]
     bound, attained = certify.bracket_bounds(basis, 3)
