@@ -16,32 +16,23 @@ import math
 
 import numpy as np
 
-from . import certify, embeddings, liealg, zeroplane
-from .quat import Quaternion
+from . import certify, embeddings, liealg, quat, zeroplane
 
 
 def quaternion_algebra(rng: np.random.Generator, pairs: int) -> float:
     """Worst defect of |ab| = |a||b|, conj(a) a = |a|^2, Re(ab) = Re(ba) and
-    [Im a, Im b] = 2 Im a x Im b over random scalar quaternions a, b.
-
-    The products are scalar; the cross products run as one batch at the end."""
-    defects, commutators, im_a, im_b = [], [], [], []
-    for _ in range(pairs):
-        a = Quaternion.from_array(rng.standard_normal(4))
-        b = Quaternion.from_array(rng.standard_normal(4))
-        prod = a * b
-        defects.append(abs(prod.norm_sq() - a.norm_sq() * b.norm_sq())
-                       / (a.norm_sq() * b.norm_sq()))
-        resolved = a.conj() * a
-        defects += [abs(resolved.re - a.norm_sq()) / a.norm_sq(),
-                    abs(resolved.ci), abs(resolved.cj), abs(resolved.ck)]
-        defects.append(abs((a * b).re - (b * a).re))
-        ia, ib = Quaternion(0.0, a.ci, a.cj, a.ck), Quaternion(0.0, b.ci, b.cj, b.ck)
-        commutators.append((ia * ib - ib * ia).array[1:])
-        im_a.append(ia.array[1:])
-        im_b.append(ib.array[1:])
-    cross = 2.0 * np.cross(np.array(im_a), np.array(im_b))
-    return float(np.max([np.max(defects), np.max(np.abs(np.array(commutators) - cross))]))
+    [Im a, Im b] = 2 Im a x Im b over random quaternions a, b, as one batch of
+    component arrays; the scalar `quat.Quaternion` is the tests' oracle for it."""
+    a, b = np.moveaxis(rng.standard_normal((pairs, 2, 4)), 1, 0)
+    na, nb = quat.qnorm_sq(a), quat.qnorm_sq(b)
+    ab, resolved = quat.qmul(a, b), quat.qmul(quat.qconj(a), a)
+    ia, ib = (a - quat.qconj(a)) / 2.0, (b - quat.qconj(b)) / 2.0
+    commutator = (quat.qmul(ia, ib) - quat.qmul(ib, ia))[:, 1:]
+    return float(np.max([np.max(np.abs(quat.qnorm_sq(ab) - na * nb) / (na * nb)),
+                         np.max(np.abs(resolved[:, 0] - na) / na),
+                         np.max(np.abs(resolved[:, 1:])),
+                         np.max(np.abs(ab[:, 0] - quat.qmul(b, a)[:, 0])),
+                         np.max(np.abs(commutator - 2.0 * np.cross(ia[:, 1:], ib[:, 1:])))]))
 
 
 def phi3_homomorphism(rng: np.random.Generator, pairs: int) -> float:
@@ -101,36 +92,35 @@ def display_reproduction(rng: np.random.Generator, angles: int) -> tuple[float, 
 
 def vw_convention(rng: np.random.Generator, angles: int, margin: float) -> dict[str, float]:
     """Largest defect of `zeroplane.vw_vectors` against (Ad_{P^-1} X)_p and
-    (Ad_{P^-1} Y)_p, for P = p(theta) ("plus-sin") and for its transpose."""
-    defects = {"plus-sin": [], "transpose": []}
+    (Ad_{P^-1} Y)_p, for P = p(theta) ("plus-sin") and for its transpose.
+    Each angle draws its theta, then its pair; the adjoints run as one batch."""
+    thetas, pairs, closed = [], [], []
     for _ in range(angles):
-        theta = rng.uniform(margin, np.pi / 4.0 - margin)
-        point = embeddings.point_p(theta)
-        pair = zeroplane.random_reduced_pair(rng)
-        x, y = zeroplane.pair_matrices(pair)
-        v, w = zeroplane.vw_vectors(pair, theta)
-        for name, p in (("plus-sin", point), ("transpose", liealg.conj_transpose(point))):
-            pinv = liealg.group_inverse(p)
-            got_v = liealg.split_kp(liealg.adjoint(pinv, x))[1]
-            got_w = liealg.split_kp(liealg.adjoint(pinv, y))[1]
-            defects[name] += [np.max(np.abs(got_v - v)), np.max(np.abs(got_w - w))]
-    return {name: float(np.max(found)) for name, found in defects.items()}
+        thetas.append(rng.uniform(margin, np.pi / 4.0 - margin))
+        pairs.append(zeroplane.random_reduced_pair(rng))
+        closed.append(zeroplane.vw_vectors(pairs[-1], thetas[-1]))
+    point = embeddings.point_p(np.array(thetas))
+    x, y = zeroplane.pair_matrices(np.stack(pairs))
+    v, w = (np.stack(part) for part in zip(*closed))
+    defects = {}
+    for name, p in (("plus-sin", point), ("transpose", liealg.conj_transpose(point))):
+        pinv = liealg.group_inverse(p)
+        got_v, got_w = (liealg.split_kp(liealg.adjoint(pinv, m))[1] for m in (x, y))
+        defects[name] = float(np.max([np.max(np.abs(got_v - v)), np.max(np.abs(got_w - w))]))
+    return defects
 
 
 def mixed_pairs(rng: np.random.Generator, theta: float, random: int, sides: int,
                 mixed: int) -> np.ndarray:
     """Pair stack (n, 7, 4) of random pairs, exact x-side and then y-side
-    solutions at p(theta), pairs joining the two sides' halves, and the zero
-    pair, drawn in that order."""
-    pairs = [zeroplane.random_reduced_pair(rng) for _ in range(random)]
-    pairs += [zeroplane.x_side_solution(rng, theta) for _ in range(sides)]
-    pairs += [zeroplane.y_side_solution(rng, theta) for _ in range(sides)]
-    for _ in range(mixed):
-        xs = zeroplane.x_side_solution(rng, theta)
-        ys = zeroplane.y_side_solution(rng, theta)
-        pairs.append(np.concatenate([xs[:4], ys[4:]]))
-    pairs.append(np.zeros((7, 4)))
-    return np.stack(pairs)
+    solutions at p(theta), pairs joining the two sides' halves (each drawing
+    its x side, then its y side), and the zero pair, drawn in that order, each
+    group in one draw."""
+    return np.concatenate([zeroplane.random_reduced_pair(rng, random),
+                           zeroplane.x_side_solution(rng, theta, sides),
+                           zeroplane.y_side_solution(rng, theta, sides),
+                           zeroplane._draw(rng, (1, 3, 4, 5), mixed, theta),
+                           np.zeros((1, 7, 4))])
 
 
 def equation_equivalence(rng: np.random.Generator, random: int, sides: int,
@@ -153,19 +143,16 @@ def linear_family_map(rng: np.random.Generator, fit: int,
     theta = np.pi / 12.0
     basis = zeroplane.condition_basis(embeddings.point_p(theta))
 
-    def forms(pair):
-        x, y = zeroplane.pair_matrices(pair)
-        px = liealg.vec_sp3(x) @ basis.T
-        py = liealg.vec_sp3(y) @ basis.T
-        pairings = np.concatenate([px[3:6], px[0:3], py[0:3]])
-        return pairings, zeroplane.family_forms(pair, theta)
+    def forms(pairs):
+        # one-row products, which round as the one-pair vector products do
+        x, y = (liealg.vec_sp3(m)[:, None] @ basis.T for m in zeroplane.pair_matrices(pairs))
+        return (np.concatenate([x[:, 0, 3:6], x[:, 0, 0:3], y[:, 0, 0:3]], axis=-1),
+                zeroplane.family_forms(pairs, theta))
 
-    fitted = [forms(zeroplane.random_reduced_pair(rng)) for _ in range(fit)]
-    u = np.stack([f[0] for f in fitted])
-    v = np.stack([f[1] for f in fitted])
+    u, v = forms(zeroplane.random_reduced_pair(rng, fit))
     lmap, *_ = np.linalg.lstsq(v, u, rcond=None)
-    checked = [forms(zeroplane.random_reduced_pair(rng)) for _ in range(fresh)]
-    defect = np.max([np.max(np.abs(fv @ lmap - fu)) for fu, fv in checked])
+    fu, fv = forms(zeroplane.random_reduced_pair(rng, fresh))
+    defect = np.max(np.abs((fv[:, None] @ lmap)[:, 0] - fu))
     return float(defect), float(np.linalg.det(lmap))
 
 

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import time
 
 from . import certify, checks
 
@@ -128,17 +129,24 @@ _SELFTEST_SUITES = checks.SELFTEST_SUITES
 
 
 def cmd_selftest(args=None) -> int:
-    failed = []
+    path = getattr(args, "json", None)
+    if path is not None:
+        _require_output_dir(path)
+    failed, results = [], []
     for suite in _SELFTEST_SUITES:
+        start = time.perf_counter()
         name, ok, detail = suite()
+        results.append({"name": name, "ok": bool(ok), "detail": detail,
+                        "seconds": time.perf_counter() - start})
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failed.append(name)
-    if failed:
-        print(f"FAILED: {', '.join(failed)}")
-        return 1
-    print("all suites passed")
-    return 0
+    print(f"FAILED: {', '.join(failed)}" if failed else "all suites passed")
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"ok": not failed, "suites": results}, fh, indent=2)
+            fh.write("\n")
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_scan)
 
     selftest = sub.add_parser("selftest", help="run the property suites")
+    selftest.add_argument("--json", default=None,
+                          help="write each suite's result and time here")
     selftest.set_defaults(func=cmd_selftest)
 
     return parser

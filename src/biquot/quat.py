@@ -3,8 +3,8 @@
 Quaternions are stored as (re, i, j, k) component vectors and that order is
 fixed everywhere, including serialized output.  `qmul`, `qconj` and
 `qnorm_sq` broadcast over leading axes so the matrix layer can run batched.
-The scalar `Quaternion` is kept for the `quaternion-algebra` property check
-and as the tests' independent oracle; the library itself works on arrays.
+No library path calls the scalar `Quaternion`: it remains as the tests'
+independent oracle and the benchmark tracer's hook only.
 """
 
 from __future__ import annotations

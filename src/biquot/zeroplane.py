@@ -297,42 +297,54 @@ def horizontal_basis(p: np.ndarray) -> np.ndarray:
     return liealg.null_space(condition_basis(p))
 
 
-def _draw(rng: np.random.Generator, pair: np.ndarray, slots) -> np.ndarray:
-    """Fill `slots` of `pair` in order with standard normal draws, one draw
-    per slot: three for an imaginary slot, four for a full one."""
-    for slot in slots:
-        first = 1 if slot in _IMAGINARY_SLOTS else 0
-        pair[slot, first:] = rng.standard_normal(4 - first)
-    return pair
-
-
-def random_reduced_pair(rng: np.random.Generator) -> np.ndarray:
-    """Reduced pair (7, 4) with standard normal coordinates, drawn slot by slot."""
-    return _draw(rng, np.zeros((7, 4)), range(7))
-
-
-def x_side_solution(rng: np.random.Generator, theta: float) -> np.ndarray:
-    """Reduced pair with zero Y side whose X side solves families (5)/(6) exactly."""
+def _draw(rng: np.random.Generator, slots, size: int | None,
+          theta: float | None = None) -> np.ndarray:
+    """Pair (7, 4), or stack (size, 7, 4) drawn as by `size` one-pair calls,
+    with standard normals in `slots` in order (three per imaginary slot, four
+    per full one) and zeros elsewhere; at theta, drawn x2, x4 then fix x1, x3
+    by families (5)/(6), and drawn y1, y2 fix y3 by family (7)."""
+    columns = [4 * slot + part for slot in slots
+               for part in range(int(slot in _IMAGINARY_SLOTS), 4)]
+    shape = () if size is None else (size,)
+    pair = np.zeros(shape + (28,))
+    pair[..., columns] = rng.standard_normal(shape + (len(columns),))
+    pair = pair.reshape(shape + (7, 4))
+    if theta is None:
+        return pair
     c, s = math.cos(theta), math.sin(theta)
-    pair = _draw(rng, np.zeros((7, 4)), (1, 3))
-    x2, x4 = pair[1], pair[3]
-    pair[0, 1:] = [
-        (1.0 + 2.0 * s * s) * x4[1] / (2.0 * s * s),
-        -(2.0 * _R3 * (c - 1.0) * x2[2] + c * c * x4[2]) / (s * s),
-        -(2.0 * _R3 * (c - 1.0) * x2[3] + c * c * x4[3]) / (s * s),
-    ]
-    pair[2, 1:] = [3.0 * pair[0, 1], _R3 * x2[2], -_R3 * x2[3]]
+    x2, x4, y1, y2 = (pair[..., slot, :] for slot in (1, 3, 4, 5))
+    if 1 in slots:
+        pair[..., 0, 1:] = np.stack([
+            (1.0 + 2.0 * s * s) * x4[..., 1] / (2.0 * s * s),
+            -(2.0 * _R3 * (c - 1.0) * x2[..., 2] + c * c * x4[..., 2]) / (s * s),
+            -(2.0 * _R3 * (c - 1.0) * x2[..., 3] + c * c * x4[..., 3]) / (s * s),
+        ], axis=-1)
+        pair[..., 2, 1:] = np.stack(
+            [3.0 * pair[..., 0, 1], _R3 * x2[..., 2], -_R3 * x2[..., 3]], axis=-1)
+    if 4 in slots:
+        pair[..., 6, 1:] = np.stack([
+            4.0 * s * c * y1[..., 1] / (1.0 + 2.0 * s * s),
+            (2.0 * _R3 * s * y2[..., 2] - 2.0 * s * c * y1[..., 2]) / (c * c),
+            (2.0 * _R3 * s * y2[..., 3] - 2.0 * s * c * y1[..., 3]) / (c * c),
+        ], axis=-1)
     return pair
 
 
-def y_side_solution(rng: np.random.Generator, theta: float) -> np.ndarray:
-    """Reduced pair with zero X side whose Y side solves family (7) exactly."""
-    c, s = math.cos(theta), math.sin(theta)
-    pair = _draw(rng, np.zeros((7, 4)), (4, 5))
-    y1, y2 = pair[4], pair[5]
-    pair[6, 1:] = [
-        4.0 * s * c * y1[1] / (1.0 + 2.0 * s * s),
-        (2.0 * _R3 * s * y2[2] - 2.0 * s * c * y1[2]) / (c * c),
-        (2.0 * _R3 * s * y2[3] - 2.0 * s * c * y1[3]) / (c * c),
-    ]
-    return pair
+def random_reduced_pair(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Reduced pair (7, 4) with standard normal coordinates, drawn slot by
+    slot; with `size`, a stack (size, 7, 4) of such pairs."""
+    return _draw(rng, range(7), size)
+
+
+def x_side_solution(rng: np.random.Generator, theta: float,
+                    size: int | None = None) -> np.ndarray:
+    """Reduced pair with zero Y side whose X side solves families (5)/(6)
+    exactly; with `size`, a stack (size, 7, 4) of such pairs."""
+    return _draw(rng, (1, 3), size, theta)
+
+
+def y_side_solution(rng: np.random.Generator, theta: float,
+                    size: int | None = None) -> np.ndarray:
+    """Reduced pair with zero X side whose Y side solves family (7) exactly;
+    with `size`, a stack (size, 7, 4) of such pairs."""
+    return _draw(rng, (4, 5), size, theta)

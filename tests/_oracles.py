@@ -4,16 +4,17 @@ These deliberately avoid the library's array fast paths: matrices are read
 into and built from grids of scalar Quaternion entries, matrix products are
 accumulated entry by entry, and the thirteen reduced-pair equations are
 written out, with the scalar Quaternion class.  The one-item loops that the
-batched checks replaced are kept here too, to compare the checks against, and
-so are the full residual term matrices that the exact search forms factor and
-the bracket-floor sampler that orthonormalized every draw.
+batched checks replaced are kept here too, to compare the checks against,
+the slot-by-slot pair drawers among them, and so are the full residual term
+matrices that the exact search forms factor and the bracket-floor sampler
+that orthonormalized every draw.
 """
 
 import math
 
 import numpy as np
 
-from biquot import certify, liealg
+from biquot import certify, embeddings, liealg, zeroplane
 from biquot.quat import Quaternion
 
 
@@ -126,6 +127,103 @@ def per_pair_quaternion_algebra(rng: np.random.Generator, pairs: int) -> float:
         comm = (ia * ib - ib * ia).array[1:]
         defects.append(np.max(np.abs(comm - 2.0 * np.cross(a.array[1:], b.array[1:]))))
     return float(np.max(defects))
+
+
+def _slot_draw(rng: np.random.Generator, pair: np.ndarray, slots) -> np.ndarray:
+    """Fill `slots` of `pair` in order with standard normal draws, one draw
+    per slot: three for an imaginary slot, four for a full one."""
+    for slot in slots:
+        first = 1 if slot in (0, 2, 3, 6) else 0
+        pair[slot, first:] = rng.standard_normal(4 - first)
+    return pair
+
+
+def slot_by_slot_random_pair(rng: np.random.Generator) -> np.ndarray:
+    """`zeroplane.random_reduced_pair` drawn one slot at a time."""
+    return _slot_draw(rng, np.zeros((7, 4)), range(7))
+
+
+def slot_by_slot_x_side(rng: np.random.Generator, theta: float) -> np.ndarray:
+    """`zeroplane.x_side_solution` drawn one slot at a time and solved in scalars."""
+    c, s = math.cos(theta), math.sin(theta)
+    r3 = math.sqrt(3.0)
+    pair = _slot_draw(rng, np.zeros((7, 4)), (1, 3))
+    x2, x4 = pair[1], pair[3]
+    pair[0, 1:] = [
+        (1.0 + 2.0 * s * s) * x4[1] / (2.0 * s * s),
+        -(2.0 * r3 * (c - 1.0) * x2[2] + c * c * x4[2]) / (s * s),
+        -(2.0 * r3 * (c - 1.0) * x2[3] + c * c * x4[3]) / (s * s),
+    ]
+    pair[2, 1:] = [3.0 * pair[0, 1], r3 * x2[2], -r3 * x2[3]]
+    return pair
+
+
+def slot_by_slot_y_side(rng: np.random.Generator, theta: float) -> np.ndarray:
+    """`zeroplane.y_side_solution` drawn one slot at a time and solved in scalars."""
+    c, s = math.cos(theta), math.sin(theta)
+    r3 = math.sqrt(3.0)
+    pair = _slot_draw(rng, np.zeros((7, 4)), (4, 5))
+    y1, y2 = pair[4], pair[5]
+    pair[6, 1:] = [
+        4.0 * s * c * y1[1] / (1.0 + 2.0 * s * s),
+        (2.0 * r3 * s * y2[2] - 2.0 * s * c * y1[2]) / (c * c),
+        (2.0 * r3 * s * y2[3] - 2.0 * s * c * y1[3]) / (c * c),
+    ]
+    return pair
+
+
+def per_pair_mixed_pairs(rng: np.random.Generator, theta: float, random: int, sides: int,
+                         mixed: int) -> np.ndarray:
+    """`checks.mixed_pairs` with every pair drawn on its own, slot by slot."""
+    pairs = [slot_by_slot_random_pair(rng) for _ in range(random)]
+    pairs += [slot_by_slot_x_side(rng, theta) for _ in range(sides)]
+    pairs += [slot_by_slot_y_side(rng, theta) for _ in range(sides)]
+    for _ in range(mixed):
+        xs = slot_by_slot_x_side(rng, theta)
+        ys = slot_by_slot_y_side(rng, theta)
+        pairs.append(np.concatenate([xs[:4], ys[4:]]))
+    pairs.append(np.zeros((7, 4)))
+    return np.stack(pairs)
+
+
+def per_angle_vw_convention(rng: np.random.Generator, angles: int,
+                            margin: float) -> dict[str, float]:
+    """`checks.vw_convention` with one point, one pair and one adjoint per angle."""
+    defects = {"plus-sin": [], "transpose": []}
+    for _ in range(angles):
+        theta = rng.uniform(margin, np.pi / 4.0 - margin)
+        point = embeddings.point_p(theta)
+        pair = slot_by_slot_random_pair(rng)
+        x, y = zeroplane.pair_matrices(pair)
+        v, w = zeroplane.vw_vectors(pair, theta)
+        for name, p in (("plus-sin", point), ("transpose", liealg.conj_transpose(point))):
+            pinv = liealg.group_inverse(p)
+            got_v = liealg.split_kp(liealg.adjoint(pinv, x))[1]
+            got_w = liealg.split_kp(liealg.adjoint(pinv, y))[1]
+            defects[name] += [np.max(np.abs(got_v - v)), np.max(np.abs(got_w - w))]
+    return {name: float(np.max(found)) for name, found in defects.items()}
+
+
+def per_pair_linear_family_map(rng: np.random.Generator, fit: int,
+                               fresh: int) -> tuple[float, float]:
+    """`checks.linear_family_map` with the forms and the check one pair at a time."""
+    theta = np.pi / 12.0
+    basis = zeroplane.condition_basis(embeddings.point_p(theta))
+
+    def forms(pair):
+        x, y = zeroplane.pair_matrices(pair)
+        px = liealg.vec_sp3(x) @ basis.T
+        py = liealg.vec_sp3(y) @ basis.T
+        pairings = np.concatenate([px[3:6], px[0:3], py[0:3]])
+        return pairings, zeroplane.family_forms(pair, theta)
+
+    fitted = [forms(slot_by_slot_random_pair(rng)) for _ in range(fit)]
+    u = np.stack([f[0] for f in fitted])
+    v = np.stack([f[1] for f in fitted])
+    lmap, *_ = np.linalg.lstsq(v, u, rcond=None)
+    checked = [forms(slot_by_slot_random_pair(rng)) for _ in range(fresh)]
+    defect = np.max([np.max(np.abs(fv @ lmap - fu)) for fu, fv in checked])
+    return float(defect), float(np.linalg.det(lmap))
 
 
 def per_angle_kernel_two_path(points: int) -> tuple[set[int], float]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import biquot
-from biquot import certify, checks, cli, embeddings
+from biquot import certify, checks, cli, embeddings, quat
 
 
 def run(capsys, argv):
@@ -402,6 +402,63 @@ def test_selftest_reports_every_failed_suite(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines() == ["FAIL first: injected", "PASS second: fine",
                                 "FAIL third: injected", "FAILED: first, third"]
+
+
+def test_selftest_runs_without_the_scalar_quaternion(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a library path used the scalar Quaternion")
+
+    monkeypatch.setattr(quat.Quaternion, "__mul__", refuse)
+    monkeypatch.setattr(quat.Quaternion, "__post_init__", refuse)
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 0
+    lines = out.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 12
+    assert lines[-1] == "all suites passed"
+
+
+def test_selftest_json_mirrors_the_stdout_lines(capsys, tmp_path):
+    path = tmp_path / "selftest.json"
+    code, out, err = run(capsys, ["selftest", "--json", str(path)])
+    assert code == 0 and err == ""
+    _, plain, _ = run(capsys, ["selftest"])
+    assert out == plain
+    report = json.loads(path.read_text())
+    assert report["ok"] is True
+    lines = out.splitlines()
+    assert [f"{'PASS' if suite['ok'] else 'FAIL'} {suite['name']}: {suite['detail']}"
+            for suite in report["suites"]] == lines[:-1]
+    assert len(report["suites"]) == len(checks.SELFTEST_SUITES)
+    assert all(isinstance(suite["seconds"], float) and suite["seconds"] >= 0.0
+               for suite in report["suites"])
+
+
+def test_selftest_json_records_failed_suites(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_SELFTEST_SUITES", (
+        lambda: ("first", np.False_, "injected"),
+        lambda: ("second", True, "fine"),
+    ))
+    path = tmp_path / "selftest.json"
+    code, out, _ = run(capsys, ["selftest", "--json", str(path)])
+    assert code == 1
+    assert out.splitlines()[-1] == "FAILED: first"
+    report = json.loads(path.read_text())
+    assert report["ok"] is False
+    assert [(suite["name"], suite["ok"], suite["detail"]) for suite in report["suites"]] == [
+        ("first", False, "injected"), ("second", True, "fine")]
+
+
+@pytest.mark.parametrize("where", ["empty", "missing-directory", "directory"])
+def test_selftest_json_bad_path_exits_one_before_any_suite(capsys, monkeypatch, tmp_path, where):
+    ran = []
+    monkeypatch.setattr(cli, "_SELFTEST_SUITES", (lambda: ran.append(1) or ("x", True, ""),))
+    path = {"empty": "", "missing-directory": str(tmp_path / "missing" / "out.json"),
+            "directory": str(tmp_path)}[where]
+    code, out, err = run(capsys, ["selftest", "--json", path])
+    assert code == 1
+    assert out == "" and ran == []
+    assert err.startswith("error: output ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_selftest_suites_run_in_the_benchmark_order(capsys):

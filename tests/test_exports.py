@@ -24,7 +24,7 @@ def test_every_exported_name_exists(name):
 
 def test_the_only_dataclasses_are_the_reports_and_the_scalar_quaternion():
     # checks, residuals and splits return plain values, a point is its
-    # matrix; the scalar Quaternion is the quaternion-algebra check's oracle
+    # matrix; the scalar Quaternion is the tests' oracle and the bench tracer's hook
     found = sorted(name for module in map(importlib.import_module, MODULES)
                    for name, obj in vars(module).items()
                    if inspect.isclass(obj) and dataclasses.is_dataclass(obj)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from _oracles import mat_from_quaternions, scalar_lemma_equations
+from _oracles import (mat_from_quaternions, per_angle_vw_convention,
+                      per_pair_linear_family_map, per_pair_mixed_pairs, scalar_lemma_equations,
+                      slot_by_slot_random_pair, slot_by_slot_x_side, slot_by_slot_y_side)
 
 from biquot import certify, checks, embeddings, liealg, zeroplane
 
@@ -41,6 +43,60 @@ def test_random_reduced_pair_layout_and_draw_order():
         assert pair.shape == (7, 4)
         assert np.array_equal(pair, expected)
         assert np.all(pair[[0, 2, 3, 6], 0] == 0.0)
+
+
+DRAWERS = {
+    "random": (lambda rng, size=None: zeroplane.random_reduced_pair(rng, size),
+               slot_by_slot_random_pair),
+    "x-side": (lambda rng, size=None: zeroplane.x_side_solution(rng, THETA, size),
+               lambda rng: slot_by_slot_x_side(rng, THETA)),
+    "y-side": (lambda rng, size=None: zeroplane.y_side_solution(rng, THETA, size),
+               lambda rng: slot_by_slot_y_side(rng, THETA)),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [606, 4242])
+@pytest.mark.parametrize("drawer", DRAWERS)
+def test_sized_draw_equals_consecutive_one_pair_draws(drawer, seed):
+    draw, slot_by_slot = DRAWERS[drawer]
+    batch_rng, one_rng, oracle_rng = (np.random.default_rng(seed) for _ in range(3))
+    stack = draw(batch_rng, 25)
+    singles = [draw(one_rng) for _ in range(25)]
+    assert stack.shape == (25, 7, 4) and singles[0].shape == (7, 4)
+    assert same_bits(stack, np.stack(singles))
+    assert same_bits(stack, np.stack([slot_by_slot(oracle_rng) for _ in range(25)]))
+    assert batch_rng.bit_generator.state == one_rng.bit_generator.state
+    assert batch_rng.bit_generator.state == oracle_rng.bit_generator.state
+    empty_rng = np.random.default_rng(seed)
+    assert draw(empty_rng, 0).shape == (0, 7, 4)
+    assert empty_rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [606, 4242])
+def test_mixed_pairs_equal_the_per_pair_loop(seed):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for theta in (np.pi / 24.0, np.pi / 12.0, np.pi / 8.0):
+        got = checks.mixed_pairs(rng, theta, random=200, sides=20, mixed=10)
+        assert got.shape == (251, 7, 4)
+        assert same_bits(got, per_pair_mixed_pairs(oracle_rng, theta, 200, 20, 10))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [505, 5150])
+def test_vw_convention_equals_the_per_angle_loop(seed):
+    got = checks.vw_convention(np.random.default_rng(seed), angles=20, margin=0.01)
+    assert got == per_angle_vw_convention(np.random.default_rng(seed), 20, 0.01)
+
+
+@pytest.mark.parametrize("seed", [707, 7070])
+def test_linear_family_map_equals_the_per_pair_forms_and_fit(seed):
+    got = checks.linear_family_map(np.random.default_rng(seed), fit=60, fresh=40)
+    assert got == per_pair_linear_family_map(np.random.default_rng(seed), 60, 40)
 
 
 def test_conditionA_zero_pair():
