@@ -231,11 +231,10 @@ def sign_certificate(theta):
 # ---------------------------------------------------------------------------
 
 # Structure constants of sp(3) on the g0-orthonormal coordinates of R^21:
-# [e_i, e_j] = sum_k _STRUCTURE[i, j, k] e_k.  Coordinates 0..12 span the k
-# summand and 13..20 the p summand; [k, k] and [p, p] both lie in k.
+# [e_i, e_j] = sum_k _STRUCTURE[i, j, k] e_k.  [k, k] and [p, p] both lie in k.
 _UNITS = unvec_sp3(np.eye(21))
 _STRUCTURE = liealg.vec_sp3(liealg.bracket(_UNITS[:, None], _UNITS[None, :]))
-_K, _P = slice(0, 13), slice(13, 21)
+_K, _P = liealg.K_COORDS, liealg.P_COORDS
 
 
 def _wedge_terms(vectors: np.ndarray, structure: np.ndarray) -> np.ndarray:
@@ -514,23 +513,12 @@ _STALLED, _CONVERGED = 1, 2
 _MAX_RAISES = 40
 
 
-@dataclass(frozen=True)
-class _Descent:
-    """Final frames of `_newton_search`, with per-frame value, Riemannian
-    gradient norm, iterations run and outcome (0 capped, `_STALLED` or
-    `_CONVERGED`)."""
-
-    frames: np.ndarray
-    value: np.ndarray
-    grad_norm: np.ndarray
-    iterations: np.ndarray
-    outcome: np.ndarray
-
-
-def _newton_search(objective: _WedgeObjective, frames: np.ndarray, cap: int,
-                   group=None) -> _Descent:
+def _newton_search(objective: _WedgeObjective, frames: np.ndarray, cap: int, group=None):
     """Batched Riemannian Newton search on Gr(2, d), globalized by a
-    per-frame Levenberg shift; frame s uses the form group[s].
+    per-frame Levenberg shift; frame s uses the form group[s].  Returns the
+    tuple (frames, value, grad_norm, iterations, outcome): the final frames,
+    and per frame the objective there, its Riemannian gradient norm, the
+    iterations run, and the outcome (0 capped, `_STALLED` or `_CONVERGED`).
 
     Each frame solves (H + mu I) s = -grad in the coordinates of
     `_WedgeObjective.model`.  mu is a multiple of the largest diagonal entry
@@ -598,7 +586,7 @@ def _newton_search(objective: _WedgeObjective, frames: np.ndarray, cap: int,
         if stalled.any():
             outcome[live[stalled]] = _STALLED
             live, damping = live[~stalled], damping[~stalled]
-    return _Descent(u, value, grad_norm, iterations, outcome)
+    return u, value, grad_norm, iterations, outcome
 
 
 @dataclass(frozen=True)
@@ -609,6 +597,7 @@ class SearchReport:
     start ran.  `converged` and `stalled` count the starts that stopped on
     the gradient tolerance and on rounding, and `grad_norm` is the
     Riemannian gradient norm of the squared residual at the best frame.
+    `check --json` writes the fields but `argmin_pair`, in this order.
     """
 
     starts: int
@@ -621,9 +610,9 @@ class SearchReport:
     grad_norm: float
 
 
-# Largest number of frames one descent carries; longer scans run in
-# consecutive groups of whole rows, and a row with more starts in
-# consecutive chunks of its starts, so memory stays bounded.
+# Largest number of frames one descent carries; a search with more runs its
+# frames, laid out row after row, in consecutive chunks of at most that many,
+# so memory stays bounded.
 MAX_DESCENT_FRAMES = 1024
 
 
@@ -632,11 +621,10 @@ def _search_rows(points: np.ndarray, starts: int, iterations: int,
     """Search at every point (n, 3, 3, 4), row r drawing its start frames
     from seeds[r] + index, as `search_zero_plane` at that point alone would.
 
-    Rows go through the descent in consecutive groups of at most
-    `MAX_DESCENT_FRAMES` frames; a row with more starts goes alone, its
-    starts in consecutive chunks of at most that many, keeping the row's
-    first best frame.  Every frame descends independently, so each report
-    matches the one-angle search.
+    The frames, row after row, descend in consecutive chunks of at most
+    `MAX_DESCENT_FRAMES`.  Each row keeps running totals over its slices of
+    the chunks and its first best frame, so memory is O(rows).  Every frame
+    descends independently, so each report matches the one-angle search.
     """
     bases = [horizontal_basis(p) for p in points]
     for basis in bases:
@@ -650,29 +638,26 @@ def _search_rows(points: np.ndarray, starts: int, iterations: int,
     used = np.zeros(rows, dtype=np.intp)
     converged = np.zeros(rows, dtype=np.intp)
     stalled = np.zeros(rows, dtype=np.intp)
-    per_chunk = min(starts, MAX_DESCENT_FRAMES)
-    per_group = max(1, MAX_DESCENT_FRAMES // starts)
-    for low in range(0, rows, per_group):
-        group = range(low, min(low + per_group, rows))
-        objective = _WedgeObjective(_pair_forms(points[low:group.stop], bases[low:group.stop]))
-        for first in range(0, starts, per_chunk):
-            count = min(per_chunk, starts - first)
-            u0 = np.stack([
-                np.random.default_rng(seeds[row] + index).standard_normal((15, 2))
-                for row in group for index in range(first, first + count)
-            ])
-            run = _newton_search(objective, _retract(u0), iterations,
-                                 np.repeat(np.arange(len(group)), count))
-            for at, row in enumerate(group):
-                span = slice(at * count, (at + 1) * count)
-                pick = at * count + int(np.argmin(run.value[span]))
-                if run.value[pick] < best[row]:
-                    best[row] = run.value[pick]
-                    best_frame[row] = run.frames[pick]
-                    best_grad[row] = run.grad_norm[pick]
-                used[row] = max(used[row], int(run.iterations[span].max()))
-                converged[row] += int(np.sum(run.outcome[span] == _CONVERGED))
-                stalled[row] += int(np.sum(run.outcome[span] == _STALLED))
+    total = rows * starts
+    for first in range(0, total, MAX_DESCENT_FRAMES):
+        stop = min(first + MAX_DESCENT_FRAMES, total)
+        owner, index = np.divmod(np.arange(first, stop), starts)
+        low, high = int(owner[0]), int(owner[-1]) + 1
+        u0 = np.stack([np.random.default_rng(seeds[row] + start).standard_normal((15, 2))
+                       for row, start in zip(owner.tolist(), index.tolist())])
+        frames, value, grad_norm, ran, outcome = _newton_search(
+            _WedgeObjective(_pair_forms(points[low:high], bases[low:high])),
+            _retract(u0), iterations, owner - low)
+        for row in range(low, high):
+            span = slice(max(row * starts, first) - first, min((row + 1) * starts, stop) - first)
+            pick = span.start + int(np.argmin(value[span]))
+            if value[pick] < best[row]:
+                best[row] = value[pick]
+                best_frame[row] = frames[pick]
+                best_grad[row] = grad_norm[pick]
+            used[row] = max(used[row], int(ran[span].max()))
+            converged[row] += int(np.sum(outcome[span] == _CONVERGED))
+            stalled[row] += int(np.sum(outcome[span] == _STALLED))
 
     reports = []
     for row, basis in enumerate(bases):
@@ -731,18 +716,16 @@ def search_zero_plane(theta: float, starts: int = 200, iterations: int = 500,
 
 def p_subspace_basis() -> np.ndarray:
     """Orthonormal coordinates (21, 8) of the p summand."""
-    return np.eye(21)[:, 13:21]
+    return np.eye(21)[:, liealg.P_COORDS]
 
 
 def berger_complement_basis() -> np.ndarray:
     """Orthonormal coordinates (21, 7) of the h2 orthocomplement inside sp(2)+0."""
     from .embeddings import h2_basis
 
-    sp2_coords = [0, 1, 2, 3, 4, 5, 9, 10, 11, 12]
-    h2_rows = liealg.vec_sp3(h2_basis())[:, sp2_coords]
-    complement = liealg.null_space(h2_rows)
+    complement = liealg.null_space(liealg.vec_sp3(h2_basis())[:, liealg.SP2_COORDS])
     out = np.zeros((21, complement.shape[1]))
-    out[sp2_coords, :] = complement
+    out[liealg.SP2_COORDS, :] = complement
     return out
 
 
@@ -925,7 +908,7 @@ def bracket_bounds(subspace: np.ndarray, seed: int = 0) -> tuple[float, float]:
     terms = _bracket_form(subspace)
     frames = _retract(np.random.default_rng(seed).standard_normal(
         (_ATTAIN_STARTS, subspace.shape[1], 2)))
-    attained = _newton_search(_WedgeObjective(terms[None]), frames, _ATTAIN_ITERATIONS).value
+    attained = _newton_search(_WedgeObjective(terms[None]), frames, _ATTAIN_ITERATIONS)[1]
     return plucker_bound(terms), float(attained.min())
 
 

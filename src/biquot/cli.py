@@ -76,14 +76,8 @@ def cmd_check(args) -> int:
     if args.json is not None:
         payload = dataclasses.asdict(cert)
         payload["search"] = None if report is None else {
-            "starts": report.starts,
-            "iterations": report.iterations,
-            "min_residual": report.min_residual,
-            "iterations_used": report.iterations_used,
-            "converged": report.converged,
-            "stalled": report.stalled,
-            "grad_norm": report.grad_norm,
-        }
+            name: value for name, value in dataclasses.asdict(report).items()
+            if name != "argmin_pair"}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

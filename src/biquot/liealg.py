@@ -22,7 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "K_COORDS",
+    "P_COORDS",
     "SKEW_HERMITIAN_TOL",
+    "SP2_COORDS",
     "UNITARY_TOL",
     "adjoint",
     "bracket",
@@ -161,6 +164,14 @@ def adjoint(p: np.ndarray, a: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarra
     if defect > tol:
         raise ValueError(f"matrix is not unit-symplectic: defect {defect:.3e} > {tol:.1e}")
     return from_complex(cp @ to_complex(a) @ np.conj(np.swapaxes(cp, -2, -1)))
+
+
+# The masks' summands in the coordinates of `vec_sp3`, which puts the diagonal
+# slots at 0..8 and the off-diagonal slots (0,1), (0,2), (1,2) at 9..12,
+# 13..16 and 17..20: `_K_MASK`, `_P_MASK` and `_SP2_MASK` keep these.
+K_COORDS = slice(0, 13)
+P_COORDS = slice(13, 21)
+SP2_COORDS = np.array([0, 1, 2, 3, 4, 5, 9, 10, 11, 12])
 
 
 def vec_sp3(a: np.ndarray) -> np.ndarray:

@@ -283,5 +283,5 @@ def retracted_bracket_floor(subspace: np.ndarray, samples: int, seed: int,
         pool_values.append(values[keep])
     frames = np.concatenate(pool_frames)
     pool = frames[np.argsort(np.concatenate(pool_values))[:refine_starts]]
-    refined = certify._newton_search(objective, pool, refine_iterations).value
+    refined = certify._newton_search(objective, pool, refine_iterations)[1]
     return min(best_value, float(refined.min()))

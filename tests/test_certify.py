@@ -509,11 +509,20 @@ def test_search_chunks_a_row_larger_than_a_descent(monkeypatch):
     monkeypatch.setattr(certify, "_newton_search", spy)
     chunked = certify._search_rows(points, 7, 60, seeds)
     single = certify.search_zero_plane(0.2, starts=7, iterations=60, seed=4)
-    # two rows, then the one-angle search, each in chunks of 3, 3 and 1 starts
-    assert sizes == [3, 3, 1] * 3
+    # the two rows' 14 frames in chunks of 3, then the one-angle search's 7
+    assert sizes == [3, 3, 3, 3, 2] + [3, 3, 1]
+    assert max(sizes) <= 3
     for a, b in zip(whole, chunked):
         _assert_same_report(a, b)
     _assert_same_report(whole[0], single)
+
+
+def test_search_rejects_a_degenerate_horizontal_space(monkeypatch):
+    real = certify.horizontal_basis
+    monkeypatch.setattr(certify, "horizontal_basis", lambda point: real(point)[:, 1:])
+    with pytest.raises(ValueError,
+                       match="^degenerate horizontal space of dimension 14, expected 15$"):
+        certify.search_zero_plane(PI12, starts=2, iterations=5)
 
 
 def test_search_rejects_negative_iterations_and_seeds():
@@ -741,6 +750,16 @@ def test_subspace_bases():
     assert np.max(np.abs(cross)) <= 1e-12
     for basis in (p_basis, berger):
         assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-10
+
+
+def test_subspace_bases_equal_the_index_list_recipe():
+    # the bases built from explicit index lists, bit for bit
+    assert np.array_equal(certify.p_subspace_basis(), np.eye(21)[:, list(range(13, 21))])
+    sp2 = list(range(6)) + list(range(9, 13))
+    complement = liealg.null_space(liealg.vec_sp3(embeddings.h2_basis())[:, sp2])
+    expected = np.zeros((21, complement.shape[1]))
+    expected[sp2, :] = complement
+    assert np.array_equal(certify.berger_complement_basis(), expected)
 
 
 def test_certify_theta_verdicts():

@@ -129,6 +129,10 @@ def test_check_json_reports_search_diagnostics(tmp_path, capsys):
         search = json.loads(path.read_text())["search"]
         assert set(search) == {"starts", "iterations", "min_residual", "iterations_used",
                                "converged", "stalled", "grad_norm"}
+        # the file's key order is part of its bytes
+        assert list(search) == ["starts", "iterations", "min_residual", "iterations_used",
+                                "converged", "stalled", "grad_norm"]
+        assert "argmin_pair" not in search
         report = certify.search_zero_plane(0.2617993878, starts=5, iterations=iterations,
                                            seed=2)
         assert search == {
@@ -141,6 +145,20 @@ def test_check_json_reports_search_diagnostics(tmp_path, capsys):
     # every start converges well inside the cap at this angle
     assert search["converged"] == 5 and search["iterations_used"] < 200
     assert search["grad_norm"] <= certify.GRAD_TOL
+    code, _, _ = run(capsys, ["check", "--theta", "0.2617993878", "--mode", "algebraic",
+                              "--json", str(path)])
+    assert code == 0
+    assert path.read_text().endswith('  "search": null\n}\n')
+
+
+def test_check_degenerate_horizontal_space_exits_one(monkeypatch, capsys):
+    real = certify.horizontal_basis
+    monkeypatch.setattr(certify, "horizontal_basis", lambda point: real(point)[:, 1:])
+    code, out, err = run(capsys, ["check", "--theta", "0.2617993878", "--mode", "both",
+                                  "--starts", "2", "--iterations", "5"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: degenerate horizontal space of dimension 14, expected 15\n"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -29,4 +29,12 @@ def test_the_only_dataclasses_are_the_reports_and_the_scalar_quaternion():
                    for name, obj in vars(module).items()
                    if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
                    and obj.__module__ == module.__name__)
-    assert found == ["Certificate", "Quaternion", "SearchReport", "_Descent"]
+    assert found == ["Certificate", "Quaternion", "SearchReport"]
+
+
+def test_the_package_exports_no_function_or_class():
+    # the modules are the API; `import biquot` gives only `__version__`
+    found = sorted(name for name, obj in vars(biquot).items()
+                   if inspect.isfunction(obj) or inspect.isclass(obj))
+    assert found == []
+    assert biquot.__version__ == "0.1.0"

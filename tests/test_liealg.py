@@ -115,6 +115,16 @@ def test_sp2_project():
     assert np.allclose(liealg.sp2_project(once), once)
 
 
+def test_coordinate_sets_are_the_masks_in_vec_coordinates():
+    u = liealg.unvec_sp3(np.ones(21))
+    k, p = liealg.split_kp(u)
+    for part, coords in [(k, liealg.K_COORDS), (p, liealg.P_COORDS),
+                         (liealg.sp2_project(u), liealg.SP2_COORDS)]:
+        expected = np.zeros(21, dtype=bool)
+        expected[coords] = True
+        assert np.array_equal(liealg.vec_sp3(part) != 0.0, expected)
+
+
 def test_adjoint_identity_and_closed_entries():
     rng = np.random.default_rng(11)
     a = liealg.random_sp3(rng)
