@@ -173,17 +173,17 @@ def kernel_two_path(points: int) -> tuple[set[int], float]:
     return dims, float(np.min(matches)) if matches.size else math.nan
 
 
-def sign_identity(rng: np.random.Generator, angles: int) -> tuple[float, float]:
-    """Smallest product y1 (x1 - x4) on the closed-form kernels, and worst
-    defect of x1 - x4 = 6 - (6 + 3 eps) cos(theta), at random angles."""
+def sign_identity(rng: np.random.Generator, angles: int) -> tuple[bool, float]:
+    """Whether `certify.sign_certificate`, the verdict's sign test, holds at all
+    of `angles` random angles, and the worst defect of x1 - x4 =
+    6 - (6 + 3 eps) cos(theta) on the closed-form kernels there."""
     thetas = rng.uniform(0.001, np.pi / 6.0 - 0.001, angles)
-    products, defects = [], []
+    defects = []
     for eps in (1.0, -1.0):
         ref = certify.kernel_reference(thetas, eps)
-        difference = ref[..., 0] - ref[..., 3]
-        products.append(ref[..., 4] * difference)
-        defects.append(np.abs(difference - (6.0 - (6.0 + 3.0 * eps) * np.cos(thetas))))
-    return float(np.min(products)), float(np.max(defects))
+        defects.append(np.abs(ref[..., 0] - ref[..., 3]
+                              - (6.0 - (6.0 + 3.0 * eps) * np.cos(thetas))))
+    return bool(np.all(certify.sign_certificate(thetas))), float(np.max(defects))
 
 
 def scalar_identities(points: int) -> tuple[tuple[int, ...], dict[str, tuple[float, float]],
@@ -311,10 +311,9 @@ def _suite_identity_suite():
 
 
 def _suite_sign_certificate():
-    product, identity = sign_identity(np.random.default_rng(808), angles=2000)
-    positive = product > 0.0
-    return ("sign-certificate", positive and identity <= 1e-9,
-            f"component product positive on 2000 angles: {positive}, "
+    holds, identity = sign_identity(np.random.default_rng(808), angles=2000)
+    return ("sign-certificate", holds and identity <= 1e-9,
+            f"component product positive on 2000 angles: {holds}, "
             f"difference identity defect {identity:.3e}")
 
 

@@ -105,7 +105,7 @@ def skew_defect(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a + conj_transpose(a)), axis=(-3, -2, -1))
 
 
-def require_sp3(a, tol: float = SKEW_HERMITIAN_TOL) -> np.ndarray:
+def require_sp3(a) -> np.ndarray:
     """Validate membership in the skew-Hermitian 3x3 algebra and return it."""
     a = np.asarray(a, dtype=float)
     if a.shape[-3:] != (3, 3, 4):
@@ -113,8 +113,9 @@ def require_sp3(a, tol: float = SKEW_HERMITIAN_TOL) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     defect = np.max(skew_defect(a))
-    if defect > tol:
-        raise ValueError(f"matrix is not skew-Hermitian: defect {defect:.3e} > {tol:.1e}")
+    if defect > SKEW_HERMITIAN_TOL:
+        raise ValueError(f"matrix is not skew-Hermitian: defect {defect:.3e} "
+                         f"> {SKEW_HERMITIAN_TOL:.1e}")
     return a
 
 
@@ -150,19 +151,19 @@ def group_inverse(p: np.ndarray) -> np.ndarray:
     return conj_transpose(p)
 
 
-def adjoint(p: np.ndarray, a: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def adjoint(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Conjugation p A p^{-1} for unit-symplectic p.
 
     The inverse is the conjugate transpose; p is rejected if p p* differs
-    from the identity by more than `tol`.
+    from the identity by more than `UNITARY_TOL`.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[-2]
     cp = to_complex(p)
     gram = cp @ np.conj(np.swapaxes(cp, -2, -1))
     defect = np.max(np.abs(gram - np.eye(2 * n)))
-    if defect > tol:
-        raise ValueError(f"matrix is not unit-symplectic: defect {defect:.3e} > {tol:.1e}")
+    if defect > UNITARY_TOL:
+        raise ValueError(f"matrix is not unit-symplectic: defect {defect:.3e} > {UNITARY_TOL:.1e}")
     return from_complex(cp @ to_complex(a) @ np.conj(np.swapaxes(cp, -2, -1)))
 
 

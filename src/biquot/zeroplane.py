@@ -159,15 +159,14 @@ def conditionC_residual(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarr
     )
 
 
-def normal_form_reduce(x: np.ndarray, y: np.ndarray, p: np.ndarray,
-                       tol: float = DEPENDENCE_TOL) -> np.ndarray:
+def normal_form_reduce(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Replace span{X, Y} by a normal-form pair (X' block-diagonal, Y'
     supported on the third row/column), returned as a reduced pair (7, 4).
 
     Requires the p parts and then the sp(2) parts to be real-dependent, which
     is what conditions (A) and (B) guarantee for candidate planes; each
     elimination coefficient is a one-dimensional least-squares fit and the
-    eliminated block is checked, never trusted.
+    eliminated block is checked, never trusted, at `DEPENDENCE_TOL`.
     """
     x = liealg.require_sp3(x)
     y = liealg.require_sp3(y)
@@ -179,34 +178,34 @@ def normal_form_reduce(x: np.ndarray, y: np.ndarray, p: np.ndarray,
         raise NormalFormError("pair is not linearly independent")
     x = x / nx
     y = y / ny
-    if liealg.normalized_gram_residual(liealg.vec_sp3(x), liealg.vec_sp3(y)) <= tol:
+    if liealg.normalized_gram_residual(liealg.vec_sp3(x), liealg.vec_sp3(y)) <= DEPENDENCE_TOL:
         raise NormalFormError("pair is not linearly independent")
 
     xp = liealg.split_kp(x)[1]
     yp = liealg.split_kp(y)[1]
     npx, npy = float(liealg.g0_norm(xp)), float(liealg.g0_norm(yp))
-    if npx <= tol:
+    if npx <= DEPENDENCE_TOL:
         first, second = x, y
-    elif npy <= tol:
+    elif npy <= DEPENDENCE_TOL:
         first, second = y, x
     else:
         lam = float(liealg.g0_inner(xp, yp)) / npy**2
-        if float(liealg.g0_norm(xp - lam * yp)) > tol * max(1.0, abs(lam)):
+        if float(liealg.g0_norm(xp - lam * yp)) > DEPENDENCE_TOL * max(1.0, abs(lam)):
             raise NormalFormError(
                 "p parts are linearly independent; the commutation condition fails")
         first, second = x - lam * y, y
 
-    if float(liealg.g0_norm(first)) <= tol:
+    if float(liealg.g0_norm(first)) <= DEPENDENCE_TOL:
         raise NormalFormError("eliminated vector degenerates to zero")
     s2_first = liealg.sp2_project(first)
     n2_first = float(liealg.g0_norm(s2_first))
-    if n2_first <= tol:
+    if n2_first <= DEPENDENCE_TOL:
         raise NormalFormError(
             "block-diagonal vector has no sp(2) part; orthogonality would force it to zero")
 
     mu = float(liealg.g0_inner(liealg.sp2_project(second), s2_first)) / n2_first**2
     reduced_y = second - mu * first
-    if float(liealg.g0_norm(liealg.sp2_project(reduced_y))) > tol:
+    if float(liealg.g0_norm(liealg.sp2_project(reduced_y))) > DEPENDENCE_TOL:
         raise NormalFormError(
             "sp(2) parts are linearly independent; the commutation condition fails")
 
@@ -217,8 +216,8 @@ def normal_form_reduce(x: np.ndarray, y: np.ndarray, p: np.ndarray,
 
 
 def _require_reduced_range(theta: float) -> tuple[float, float]:
-    if not 0.0 < theta < np.pi / 4.0:
-        raise ValueError(f"reduced equations require theta in (0, pi/4), got {float(theta)!r}")
+    theta = float(embeddings._angles_in(theta, np.pi / 4.0,
+                                        "reduced equations require theta in (0, pi/4)"))
     return math.cos(theta), math.sin(theta)
 
 
@@ -239,8 +238,12 @@ def vw_vectors(pairs, theta: float) -> tuple[np.ndarray, np.ndarray]:
                  for r8 in _vw(_pair_slots(pairs), c, s))
 
 
-def _family_forms(slots, c: float, s: float) -> np.ndarray:
-    x1, x2, x3, x4, y1, y2, y3 = slots
+def family_forms(pairs, theta: float) -> np.ndarray:
+    """Signed left-hand sides (..., 9) of the linear families (5i) to (7k)
+    at p(theta), theta in (0, pi/4), in `EQUATION_LABELS` order, for a pair
+    stack (..., 7, 4)."""
+    c, s = _require_reduced_range(theta)
+    x1, x2, x3, x4, y1, y2, y3 = _pair_slots(pairs)
     i, j, k = 1, 2, 3
     return np.stack([
         3.0 * x1[..., i] - x3[..., i],
@@ -253,13 +256,6 @@ def _family_forms(slots, c: float, s: float) -> np.ndarray:
         2.0 * s * c * y1[..., j] - 2.0 * _R3 * s * y2[..., j] + c * c * y3[..., j],
         2.0 * s * c * y1[..., k] - 2.0 * _R3 * s * y2[..., k] + c * c * y3[..., k],
     ], axis=-1)
-
-
-def family_forms(pairs, theta: float) -> np.ndarray:
-    """Signed left-hand sides (..., 9) of the linear families (5i) to (7k)
-    at p(theta), in `EQUATION_LABELS` order, for a pair stack (..., 7, 4)."""
-    c, s = _require_reduced_range(theta)
-    return _family_forms(_pair_slots(pairs), c, s)
 
 
 def lemma_equations_residuals(pairs, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +276,7 @@ def lemma_equations_residuals(pairs, theta: float) -> tuple[np.ndarray, np.ndarr
         np.sqrt(qnorm_sq(qmul(-qconj(x2), y1) + qmul(x3, y2) - qmul(y2, x4))),
         liealg.normalized_gram_residual(x4[..., 1:], y3[..., 1:]),
         liealg.normalized_gram_residual(v, w),
-    ], axis=-1), np.abs(_family_forms(slots, c, s))], axis=-1)
+    ], axis=-1), np.abs(family_forms(pairs, theta))], axis=-1)
 
     x, y = pair_matrices(pairs)
     p = embeddings.point_p(theta)
@@ -301,17 +297,18 @@ def _draw(rng: np.random.Generator, slots, size: int | None,
           theta: float | None = None) -> np.ndarray:
     """Pair (7, 4), or stack (size, 7, 4) drawn as by `size` one-pair calls,
     with standard normals in `slots` in order (three per imaginary slot, four
-    per full one) and zeros elsewhere; at theta, drawn x2, x4 then fix x1, x3
-    by families (5)/(6), and drawn y1, y2 fix y3 by family (7)."""
+    per full one) and zeros elsewhere; at theta, checked before the draw,
+    drawn x2, x4 then fix x1, x3 by families (5)/(6), and y1, y2 fix y3 by (7)."""
+    cos_sin = None if theta is None else _require_reduced_range(theta)
     columns = [4 * slot + part for slot in slots
                for part in range(int(slot in _IMAGINARY_SLOTS), 4)]
     shape = () if size is None else (size,)
     pair = np.zeros(shape + (28,))
     pair[..., columns] = rng.standard_normal(shape + (len(columns),))
     pair = pair.reshape(shape + (7, 4))
-    if theta is None:
+    if cos_sin is None:
         return pair
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = cos_sin
     x2, x4, y1, y2 = (pair[..., slot, :] for slot in (1, 3, 4, 5))
     if 1 in slots:
         pair[..., 0, 1:] = np.stack([
@@ -339,12 +336,12 @@ def random_reduced_pair(rng: np.random.Generator, size: int | None = None) -> np
 def x_side_solution(rng: np.random.Generator, theta: float,
                     size: int | None = None) -> np.ndarray:
     """Reduced pair with zero Y side whose X side solves families (5)/(6)
-    exactly; with `size`, a stack (size, 7, 4) of such pairs."""
+    exactly at p(theta), theta in (0, pi/4); with `size`, a stack (size, 7, 4)."""
     return _draw(rng, (1, 3), size, theta)
 
 
 def y_side_solution(rng: np.random.Generator, theta: float,
                     size: int | None = None) -> np.ndarray:
-    """Reduced pair with zero X side whose Y side solves family (7) exactly;
-    with `size`, a stack (size, 7, 4) of such pairs."""
+    """Reduced pair with zero X side whose Y side solves family (7) exactly at
+    p(theta), theta in (0, pi/4); with `size`, a stack (size, 7, 4)."""
     return _draw(rng, (4, 5), size, theta)

@@ -391,6 +391,25 @@ def test_selftest_detects_injected_sign_flip(capsys, monkeypatch):
     assert "FAILED: phi3-homomorphism" in out
 
 
+@pytest.mark.parametrize("target,fault,suite", [
+    ("biquot.certify.sign_certificate", lambda theta: False, "sign-certificate"),
+    ("biquot.certify.kernel_solutions",
+     lambda theta, ell, real=certify.kernel_solutions: (
+         np.full(np.shape(theta), 2), real(theta, ell)[1]),
+     "kernel-two-path"),
+    ("biquot.embeddings.rho_rank", lambda points: np.full(len(points), 2),
+     "display-reproduction"),
+], ids=["sign_certificate", "kernel_solutions", "rho_rank"])
+def test_selftest_fails_when_a_function_of_the_verdict_fails(capsys, monkeypatch,
+                                                            target, fault, suite):
+    # each function here decides `certify_theta`'s verdict, and one suite runs it
+    monkeypatch.setattr(target, fault)
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    assert f"FAIL {suite}: " in out
+    assert out.splitlines()[-1] == f"FAILED: {suite}"
+
+
 def test_selftest_fails_the_floors_on_a_subspace_with_a_commuting_pair(capsys, monkeypatch):
     # coordinates 0 and 3 are the i-parts of two diagonal entries, so they commute
     monkeypatch.setattr("biquot.certify.p_subspace_basis",

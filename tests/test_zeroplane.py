@@ -238,6 +238,23 @@ def test_theta_range_guard():
         zeroplane.lemma_equations_residuals(pair, 1.0)
 
 
+@pytest.mark.parametrize("theta,shown", [(0.0, "0.0"), (np.nan, "nan"), (2.0, "2.0"),
+                                          (np.pi / 4.0, repr(np.pi / 4.0))])
+@pytest.mark.parametrize("draw", [
+    lambda rng, theta: zeroplane.x_side_solution(rng, theta),
+    lambda rng, theta: zeroplane.y_side_solution(rng, theta, 5),
+    lambda rng, theta: zeroplane._draw(rng, (1, 3, 4, 5), 5, theta),
+    lambda rng, theta: zeroplane.family_forms(np.zeros((7, 4)), theta),
+], ids=["x-side", "y-side", "mixed", "family-forms"])
+def test_theta_is_checked_before_any_draw(draw, theta, shown):
+    rng = np.random.default_rng(23)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError) as error:
+        draw(rng, theta)
+    assert str(error.value) == f"reduced equations require theta in (0, pi/4), got {shown}"
+    assert rng.bit_generator.state == before
+
+
 def test_lemma_equations_zero_pair():
     abc, eq = zeroplane.lemma_equations_residuals(np.zeros((7, 4)), THETA)
     assert np.max(eq) == 0.0
