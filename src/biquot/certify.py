@@ -39,9 +39,10 @@ A 4-form vanishes on every decomposable wedge, so the least eigenvalue of
 the form's Gram matrix plus any 4-form matrix is a lower bound on the
 squared bracket of every orthonormal pair (Thorpe, "On the curvature tensor
 of a positively curved 4-manifold", 1972).  `plucker_bound` finds the best
-such 4-form with a small semidefinite program and certifies the result with
-a floating Cholesky factorization and a rounding margin.  The Newton search
-above gives the value the bound is compared with.
+such 4-form with a small semidefinite program and returns its dual point;
+`verify_bound` certifies a dual point, stored or fresh, with one floating
+Cholesky factorization and a rounding margin.  The Newton search above
+gives the value the bound is compared with.
 
 Each objective pass cuts the rows of the frames that share a form into
 zero-padded blocks of at most `_BLOCK` rows, a whole number of `_TILE`-row
@@ -85,6 +86,7 @@ __all__ = [
     "scan",
     "search_zero_plane",
     "sign_certificate",
+    "verify_bound",
 ]
 
 EPSILON_BY_ELL = {"j": 1.0, "k": -1.0}
@@ -761,6 +763,19 @@ def _max_step(half: np.ndarray, direction: np.ndarray) -> float:
     return 1.0 if least >= 0.0 else min(1.0, -1.0 / least)
 
 
+def _checked_terms(terms) -> tuple[np.ndarray, int]:
+    """`terms` as a float array, and the d of its d(d-1)/2 rows."""
+    terms = np.asarray(terms, dtype=float)
+    wedges = len(terms) if terms.ndim == 2 else 0
+    dim = math.isqrt(2 * wedges) + 1
+    if wedges == 0 or math.comb(dim, 2) != wedges:
+        raise ValueError("terms must be a 2-D array with d(d-1)/2 rows, d >= 2, "
+                         f"got shape {terms.shape}")
+    if not np.all(np.isfinite(terms)):
+        raise ValueError("terms must be finite")
+    return terms, dim
+
+
 # Most interior-point iterations of `plucker_bound`, and the duality gap,
 # relative to the mean eigenvalue of the Gram matrix, at which it stops.
 # Each iteration cuts the gap about a hundredfold.
@@ -768,8 +783,8 @@ _SDP_ITERATIONS = 50
 _SDP_GAP = 1e-12
 
 
-def plucker_bound(terms) -> float:
-    """Certified lower bound on |(x ^ y) T|^2 over orthonormal pairs (x, y)
+def plucker_bound(terms) -> tuple[float, np.ndarray]:
+    """Certified lower bound on |(u ^ v) T|^2 over orthonormal pairs (u, v)
     of R^d, for the terms T (d(d-1)/2, K) on wedge coordinates a < b.
 
     An orthonormal pair's wedge w is a unit vector on which every 4-form
@@ -790,24 +805,14 @@ def plucker_bound(terms) -> float:
     nonzeros of F_i; no product is large enough for OpenBLAS to split it
     over threads.
 
-    The certificate: the computed S took one rounding per entry (every
-    entry of Omega is exactly one +-omega_i), so it is within
-    gamma_K |T||T|^T + u |S| of the exact matrix, entrywise, and the 2-norm
-    of that is at most its largest row sum.  Its floating Cholesky ran to
-    completion, so its least eigenvalue is above -alpha tr S, with
-    alpha = gamma_(n+1) / (1 - gamma_(n+1)) (Rump, "Verification of positive
-    definiteness", BIT 46, 2006).  The bound is b less twice the sum of the
-    two, which covers the rounding of the margin itself; the entries here
-    are far from underflow.
+    Returns `(bound, y)`: y = (b, omega_1, ...) is the last dual point
+    kept, one entry per matrix of `_plucker_forms`, and the bound is
+    `verify_bound(terms, y)`, b less a rounding margin.  A stored y gives
+    the same bound bit for bit through `verify_bound`, with no program
+    solved.
     """
-    terms = np.asarray(terms, dtype=float)
-    wedges = len(terms) if terms.ndim == 2 else 0
-    dim = math.isqrt(2 * wedges) + 1
-    if wedges == 0 or math.comb(dim, 2) != wedges:
-        raise ValueError("terms must be a 2-D array with d(d-1)/2 rows, d >= 2, "
-                         f"got shape {terms.shape}")
-    if not np.all(np.isfinite(terms)):
-        raise ValueError("terms must be finite")
+    terms, dim = _checked_terms(terms)
+    wedges = len(terms)
     rows, cols, signs, starts = _plucker_forms(dim)
     owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows)))
     unit = np.zeros(len(starts))
@@ -861,6 +866,43 @@ def plucker_bound(terms) -> float:
             break
         x = x + damp * step_x * dx
         y, slack = trial, trial_slack
+    return verify_bound(terms, y), y
+
+
+def verify_bound(terms, y) -> float:
+    """Certified lower bound on |(u ^ v) T|^2 over orthonormal pairs (u, v),
+    for the terms T, from a dual point y = (b, omega_1, ...) of
+    `plucker_bound`, or -inf when y certifies nothing.
+
+    S = T T^T - Omega - b I is formed and factored by one floating Cholesky.
+    The certificate: the computed S took one rounding per entry (every
+    entry of Omega is exactly one +-omega_i), so it is within
+    gamma_K |T||T|^T + u |S| of the exact matrix, entrywise, and the 2-norm
+    of that is at most its largest row sum.  Its floating Cholesky ran to
+    completion, so its least eigenvalue is above -alpha tr S, with
+    alpha = gamma_(n+1) / (1 - gamma_(n+1)) (Rump, "Verification of positive
+    definiteness", BIT 46, 2006).  The bound is b less twice the sum of the
+    two, which covers the rounding of the margin itself; the entries here
+    are far from underflow.
+
+    It fails closed: a y that is not finite or has not one entry per matrix
+    of `_plucker_forms`, or an S that fails the Cholesky, gives -inf.  Bad
+    terms raise `ValueError`, as in `plucker_bound`.
+    """
+    terms, dim = _checked_terms(terms)
+    wedges = len(terms)
+    rows, cols, signs, starts = _plucker_forms(dim)
+    y = np.asarray(y, dtype=float)
+    if y.shape != starts.shape or not np.all(np.isfinite(y)):
+        return -math.inf
+    omega = np.zeros((wedges, wedges))
+    omega[rows, cols] = signs * y[np.repeat(np.arange(len(starts)),
+                                            np.diff(starts, append=len(rows)))]
+    slack = terms @ terms.T - omega
+    try:
+        np.linalg.cholesky(slack)
+    except np.linalg.LinAlgError:
+        return -math.inf
     u = np.finfo(float).eps / 2.0
 
     def gamma(k):
@@ -909,7 +951,7 @@ def bracket_bounds(subspace: np.ndarray, seed: int = 0) -> tuple[float, float]:
     frames = _retract(np.random.default_rng(seed).standard_normal(
         (_ATTAIN_STARTS, subspace.shape[1], 2)))
     attained = _newton_search(_WedgeObjective(terms[None]), frames, _ATTAIN_ITERATIONS)[1]
-    return plucker_bound(terms), float(attained.min())
+    return plucker_bound(terms)[0], float(attained.min())
 
 
 # ---------------------------------------------------------------------------

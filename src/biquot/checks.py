@@ -8,6 +8,11 @@ and `min`, so a NaN sample reaches the result.  The selftest entries at the
 end run the checks at fixed seeds and sizes, apply the tolerances, and give
 one `(name, ok, detail)` line each.  Library functions are called through their
 modules, so a function patched on its module is the one checked.
+
+`positivity_floors` draws nothing: it checks the committed certificates of
+the two bracket floors, module data here, with one Cholesky factorization
+each (`certify.verify_bound`) and one evaluation at a stored witness frame.
+A tier-1 test reruns the solvers and regenerates that data.
 """
 
 from __future__ import annotations
@@ -69,12 +74,12 @@ def structural_identities(rng: np.random.Generator,
 
 def _structural_defects(p, x, y) -> tuple:
     ax, ay = liealg.adjoint(p, x), liealg.adjoint(p, y)
+    xy = liealg.bracket(x, y)
     invariance = np.max(np.abs(liealg.g0_inner(ax, ay) - liealg.g0_inner(x, y)))
-    naturality = np.max(liealg.g0_norm(
-        liealg.adjoint(p, liealg.bracket(x, y)) - liealg.bracket(ax, ay)))
+    naturality = np.max(liealg.g0_norm(liealg.adjoint(p, xy) - liealg.bracket(ax, ay)))
     (xk, xp), (yk, yp) = liealg.split_kp(x), liealg.split_kp(y)
     split = np.max(liealg.g0_norm(
-        liealg.split_kp(liealg.bracket(x, y))[0]
+        liealg.split_kp(xy)[0]
         - liealg.bracket(xk, yk)
         - liealg.bracket(xp, yp)))
     return invariance, naturality, split
@@ -212,12 +217,91 @@ def scalar_identities(points: int) -> tuple[tuple[int, ...], dict[str, tuple[flo
             (float(np.min(c * s / (c**2 - s**2))), float(np.min(s / c))))
 
 
-def positivity_floors(p_seed: int, berger_seed: int) -> tuple[tuple[float, float],
-                                                              tuple[float, float]]:
-    """`certify.bracket_bounds`, the certified bound and the attained value,
-    on the p summand and on the sp(2) complement of h2."""
-    return (certify.bracket_bounds(certify.p_subspace_basis(), p_seed),
-            certify.bracket_bounds(certify.berger_complement_basis(), berger_seed))
+# The committed certificates of the two bracket floors, on the p summand
+# (_P_*) and on the sp(2) complement of h2 (_BERGER_*): the dual point y
+# exactly as `certify.plucker_bound` returns it on the subspace's bracket
+# terms, and the best frame of `certify.bracket_bounds`' search at seed 909
+# (p) and 910 (complement).  The test that regenerates them is
+# `test_committed_floor_certificates_are_the_solvers_output` in
+# tests/test_certify.py.
+_P_DUAL = np.array([
+    0.49999999999982386, 1.4999999999995752, 0.0, 0.0,
+    0.0, 0.0, 0.0, 0.0,
+    0.0, 0.0, -0.4999999999998584, 0.0,
+    0.0, 0.0, 0.0, 0.4999999999998584,
+    0.0, 0.0, 0.0, 0.0,
+    0.0, -0.4999999999998584, 0.0, 0.0,
+    -0.4999999999998584, 0.0, 0.0, 0.0,
+    -0.4999999999998584, 0.4999999999998584, 0.0, 0.0,
+    0.0, 0.0, 0.0, 0.0,
+    0.0, 0.0, 0.0, 0.0,
+    0.0, 0.0, 0.4999999999998584, -0.4999999999998584,
+    0.0, 0.0, 0.0, -0.4999999999998584,
+    0.0, 0.0, -0.4999999999998584, 0.0,
+    0.0, 0.0, 0.0, 0.0,
+    0.4999999999998584, 0.0, 0.0, 0.0,
+    0.0, -0.4999999999998584, 0.0, 0.0,
+    0.0, 0.0, 0.0, 0.0,
+    0.0, 0.0, 1.4999999999995752,
+])
+
+_P_WITNESS = np.array([
+    [-0.3426285277385941, -0.2512261464696881],
+    [-0.7358225231753824, -0.20398014726533986],
+    [-0.26604899449856073, -0.25581667048404994],
+    [0.2538584004381314, 0.1891562991470998],
+    [-0.1301757005583844, 0.42351556621231096],
+    [-0.25636137411800025, 0.10300150889338267],
+    [-0.33506197888392525, 0.7650779575126702],
+    [0.10493500165172731, -0.13688031895353628],
+])
+
+_BERGER_DUAL = np.array([
+    0.3999999999999765, 0.39191835884529824, 0.0, 0.0,
+    0.0, 0.0, 0.0, -0.07999999999999786,
+    0.39999999999998953, 0.0, 0.0, 0.0,
+    -0.07999999999999788, 0.0, 0.0, -0.39999999999998953,
+    0.0, 0.0, 0.0, 0.39191835884529824,
+    0.0, -0.0799999999999979, 0.0, 0.0,
+    0.0, 0.0, 0.3999999999999896, 0.0,
+    0.391918358845298, 0.0, 0.0, 0.3919183588452981,
+    0.0, 0.0, 0.0, -0.07999999999999795,
+])
+
+_BERGER_WITNESS = np.array([
+    [0.2890566801118393, -0.5492597784218459],
+    [0.3724913315356738, -0.09811298130278946],
+    [-0.09825075835804853, 0.13709160046748772],
+    [0.24293972366149533, 0.45076306671156136],
+    [0.7466800266322182, 0.305161013207491],
+    [-0.3836205443754564, 0.4125242603136757],
+    [-0.06578554951078419, -0.45100618637525014],
+])
+
+
+def positivity_floors() -> tuple[tuple[float, float], tuple[float, float]]:
+    """The committed certificates of the bracket floors, checked: on the p
+    summand and on the sp(2) complement of h2, the bound that
+    `certify.verify_bound` certifies from the stored dual point, and the
+    squared bracket at the stored witness frame, after `certify._retract`.
+
+    The least squared bracket over orthonormal pairs in the subspace lies
+    between the two.  Each subspace's bracket terms are formed afresh, so a
+    stored point that does not fit them gives a bound of -inf, and a
+    witness of the wrong shape a value of NaN.  No program is solved and no
+    search is run.
+    """
+    return (_checked_floor(certify.p_subspace_basis(), _P_DUAL, _P_WITNESS),
+            _checked_floor(certify.berger_complement_basis(), _BERGER_DUAL, _BERGER_WITNESS))
+
+
+def _checked_floor(basis, dual, witness) -> tuple[float, float]:
+    terms = certify._bracket_form(basis)
+    value = math.nan
+    if np.shape(witness) == (basis.shape[1], 2):
+        frame = certify._retract(np.asarray(witness, dtype=float))
+        value = float(certify._WedgeObjective(terms[None]).value(frame[None])[0])
+    return certify.verify_bound(terms, dual), value
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +402,7 @@ def _suite_sign_certificate():
 
 
 def _suite_positivity_floors():
-    (p_bound, p_value), (berger_bound, berger_value) = positivity_floors(909, 910)
+    (p_bound, p_value), (berger_bound, berger_value) = positivity_floors()
     return ("positivity-floors", p_bound >= 1e-6 and berger_bound >= 1e-6,
             f"min |bracket|^2 over orthonormal pairs, certified bound and attained "
             f"value: p summand {p_bound:.9f} and {p_value:.9f}, "

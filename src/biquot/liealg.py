@@ -66,13 +66,16 @@ def to_complex(a: np.ndarray) -> np.ndarray:
     """Complex 2n x 2n image of an (..., n, n, 4) quaternionic matrix."""
     a = np.asarray(a, dtype=float)
     n = a.shape[-2]
-    alpha = a[..., 0] + 1j * a[..., 1]
-    beta = a[..., 2] + 1j * a[..., 3]
-    out = np.zeros(a.shape[:-3] + (2 * n, 2 * n), dtype=complex)
-    out[..., 0::2, 0::2] = alpha
-    out[..., 0::2, 1::2] = beta
-    out[..., 1::2, 0::2] = -np.conj(beta)
-    out[..., 1::2, 1::2] = np.conj(alpha)
+    out = np.empty(a.shape[:-3] + (2 * n, 2 * n), dtype=complex)
+    # entry (r, s) is [[alpha, beta], [-conj(beta), conj(alpha)]] for
+    # alpha = a0 + a1 i and beta = a2 + a3 i, written part by part
+    re, im = out.real, out.imag
+    re[..., 0::2, 0::2] = re[..., 1::2, 1::2] = a[..., 0]
+    im[..., 0::2, 0::2] = a[..., 1]
+    im[..., 1::2, 1::2] = -a[..., 1]
+    re[..., 0::2, 1::2] = a[..., 2]
+    re[..., 1::2, 0::2] = -a[..., 2]
+    im[..., 0::2, 1::2] = im[..., 1::2, 0::2] = a[..., 3]
     return out
 
 
@@ -80,7 +83,10 @@ def from_complex(c: np.ndarray) -> np.ndarray:
     """Inverse of `to_complex`; reads each entry off its top block row."""
     alpha = c[..., 0::2, 0::2]
     beta = c[..., 0::2, 1::2]
-    return np.stack([alpha.real, alpha.imag, beta.real, beta.imag], axis=-1)
+    out = np.empty(alpha.shape + (4,))
+    out[..., 0], out[..., 1] = alpha.real, alpha.imag
+    out[..., 2], out[..., 3] = beta.real, beta.imag
+    return out
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -216,6 +216,9 @@ def normal_form_reduce(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarra
 
 
 def _require_reduced_range(theta: float) -> tuple[float, float]:
+    if np.ndim(theta) != 0:
+        raise ValueError("reduced equations take one angle theta, got an array of shape "
+                         f"{np.shape(theta)}")
     theta = float(embeddings._angles_in(theta, np.pi / 4.0,
                                         "reduced equations require theta in (0, pi/4)"))
     return math.cos(theta), math.sin(theta)

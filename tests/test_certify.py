@@ -701,7 +701,82 @@ def test_plucker_bound_is_the_least_eigenvalue_below_four_dimensions():
     # every wedge in R^2 and R^3 is decomposable, and there are no 4-forms
     terms = np.random.default_rng(4).standard_normal((3, 5))
     least = np.linalg.eigvalsh(terms @ terms.T)[0]
-    assert least - 1e-10 <= certify.plucker_bound(terms) <= least
+    assert least - 1e-10 <= certify.plucker_bound(terms)[0] <= least
+
+
+@pytest.mark.parametrize("basis", [
+    *BRACKET_BASES.values(), np.linalg.qr(np.random.default_rng(5).standard_normal((21, 6)))[0],
+], ids=[*BRACKET_BASES, "random-6"])
+def test_verify_bound_returns_the_solvers_bound_bit_for_bit(basis):
+    terms = certify._bracket_form(basis)
+    bound, y = certify.plucker_bound(terms)
+    assert bound > 0.0
+    assert certify.verify_bound(terms, y) == bound
+    assert certify.verify_bound(terms, list(y)) == bound
+
+
+def test_verify_bound_fails_closed():
+    terms = certify._bracket_form(certify.p_subspace_basis())
+    bound, y = certify.plucker_bound(terms)
+    # a wrong length, another shape and a non-finite entry certify nothing
+    for stored in (y[:-1], np.append(y, 0.0), y[None], np.r_[y[:5], np.nan, y[6:]]):
+        assert certify.verify_bound(terms, stored) == -math.inf
+    # b raised past the least eigenvalue leaves S indefinite
+    raised = y.copy()
+    raised[0] += 1e-3
+    assert certify.verify_bound(terms, raised) == -math.inf
+    # the p summand's point has the wrong length for a 5-dimensional subspace
+    other = certify._bracket_form(COMMUTING_SUBSPACE)
+    assert certify.verify_bound(other, y) == -math.inf
+    with pytest.raises(ValueError, match="^terms must be finite"):
+        certify.verify_bound(np.full_like(terms, np.nan), y)
+
+
+@pytest.mark.parametrize("subspace,seed,dual,witness", [
+    ("p", 909, "_P_DUAL", "_P_WITNESS"),
+    ("berger-complement", 910, "_BERGER_DUAL", "_BERGER_WITNESS"),
+])
+def test_committed_floor_certificates_are_the_solvers_output(monkeypatch, subspace, seed,
+                                                             dual, witness):
+    """The certificates that `checks.positivity_floors` verifies are the
+    solvers' output, bit for bit.
+
+    To regenerate them, for each subspace basis B (`certify.p_subspace_basis`
+    with seed 909, `certify.berger_complement_basis` with 910): y is
+    `certify.plucker_bound(certify._bracket_form(B))[1]`, and the witness is
+    the frame of least value among the frames that `certify._newton_search`
+    returns inside `certify.bracket_bounds(B, seed)`.  Write each array into
+    `biquot/checks.py` with `repr` of every float, which round-trips.
+    """
+    basis = BRACKET_BASES[subspace]
+    bound, y = certify.plucker_bound(certify._bracket_form(basis))
+    assert y.tobytes() == getattr(checks, dual).tobytes()
+    searches = []
+    real = certify._newton_search
+
+    def spy(*args, **kwargs):
+        searches.append(real(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(certify, "_newton_search", spy)
+    _, attained = certify.bracket_bounds(basis, seed)
+    (frames, value, *_), = searches
+    best = frames[np.argmin(value)]
+    assert best.tobytes() == getattr(checks, witness).tobytes()
+    assert value.min() == attained
+
+
+def test_positivity_floors_bracket_the_floors():
+    (p_bound, p_value), (berger_bound, berger_value) = checks.positivity_floors()
+    assert 0.5 - 1e-12 <= p_bound <= p_value <= 0.5 + 1e-12
+    assert 0.4 - 1e-12 <= berger_bound <= berger_value <= 0.4 + 1e-12
+
+
+def test_positivity_floors_name_a_witness_of_the_wrong_shape(monkeypatch):
+    monkeypatch.setattr(checks, "_P_WITNESS", checks._P_WITNESS[:-1])
+    (p_bound, p_value), (berger_bound, _) = checks.positivity_floors()
+    assert p_bound > 0.0 and berger_bound > 0.0
+    assert math.isnan(p_value)
 
 
 def _skewed_p_basis():

@@ -420,6 +420,30 @@ def test_selftest_fails_the_floors_on_a_subspace_with_a_commuting_pair(capsys, m
     assert out.splitlines()[-1] == "FAILED: positivity-floors"
 
 
+def test_selftest_fails_the_floors_on_a_raised_dual_point(capsys, monkeypatch):
+    # b above the least eigenvalue leaves S indefinite, so nothing is certified
+    raised = checks._P_DUAL.copy()
+    raised[0] += 1e-3
+    monkeypatch.setattr(checks, "_P_DUAL", raised)
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    assert "FAIL positivity-floors" in out
+    assert out.splitlines()[-1] == "FAILED: positivity-floors"
+
+
+def test_selftest_runs_no_bracket_solver(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("selftest ran a bracket solver")
+
+    monkeypatch.setattr(certify, "plucker_bound", refuse)
+    monkeypatch.setattr(certify, "_newton_search", refuse)
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 0
+    lines = out.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 12
+    assert lines[-1] == "all suites passed"
+
+
 def test_selftest_fails_a_nan_defect(capsys, monkeypatch):
     closed_form = embeddings.adp_h1_closed_form
     monkeypatch.setattr("biquot.embeddings.adp_h1_closed_form",

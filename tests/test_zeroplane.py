@@ -255,6 +255,27 @@ def test_theta_is_checked_before_any_draw(draw, theta, shown):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("theta", [np.array([0.1, 0.2]), np.array([0.1])],
+                         ids=["two-angles", "one-element"])
+@pytest.mark.parametrize("call", [
+    lambda rng, theta: zeroplane.x_side_solution(rng, theta),
+    lambda rng, theta: zeroplane.y_side_solution(rng, theta, 5),
+    lambda rng, theta: zeroplane._draw(rng, (1, 3, 4, 5), 5, theta),
+    lambda rng, theta: zeroplane.family_forms(np.zeros((7, 4)), theta),
+    lambda rng, theta: zeroplane.vw_vectors(np.zeros((7, 4)), theta),
+    lambda rng, theta: zeroplane.lemma_equations_residuals(np.zeros((7, 4)), theta),
+], ids=["x-side", "y-side", "mixed", "family-forms", "vw-vectors", "lemma-equations"])
+def test_reduced_equations_reject_an_array_of_angles(call, theta):
+    # they take one angle; an array got numpy's TypeError before
+    rng = np.random.default_rng(23)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError) as error:
+        call(rng, theta)
+    assert str(error.value) == ("reduced equations take one angle theta, "
+                                f"got an array of shape {theta.shape}")
+    assert rng.bit_generator.state == before
+
+
 def test_lemma_equations_zero_pair():
     abc, eq = zeroplane.lemma_equations_residuals(np.zeros((7, 4)), THETA)
     assert np.max(eq) == 0.0
