@@ -30,8 +30,10 @@ terms span the rest, and a 47 x 47 Cholesky factor per angle turns them into
 a factor of the full form, with no SVD and no rank tolerance.  Each start
 runs a Riemannian Newton method with a per-frame Levenberg shift until its
 gradient norm falls below `GRAD_TOL`, it stalls, or it reaches the
-iteration cap.  `scan` runs that search for all its angles as batched
-descents.
+iteration cap.  The objective has one evaluation, `_WedgeObjective.model`,
+and each frame is modelled once per point: an accepted trial frame carries
+its value, gradient and Hessian into the next iteration.  `scan` runs that
+search for all its angles as batched descents.
 
 `bracket_bounds` bounds the same kind of form, the squared bracket on a
 subspace, from below, which certifies "commuting implies dependent" there.
@@ -145,10 +147,7 @@ def kernel_reference(theta, epsilon: float) -> np.ndarray:
     """
     if epsilon not in (1.0, -1.0, 1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon!r}")
-    return _reference_vectors(theta, float(epsilon))
-
-
-def _reference_vectors(theta, eps: float) -> np.ndarray:
+    eps = float(epsilon)
     # products, not powers: numpy rounds c**3 of an array and of a scalar
     # differently, and a batch must equal its one-angle calls bit for bit
     theta = np.asarray(theta, dtype=float)
@@ -222,7 +221,7 @@ def sign_certificate(theta):
     theta = _angles_in(theta, np.pi / 6.0, "sign certificate is stated on (0, pi/6)")
     holds = True
     for eps in (1.0, -1.0):
-        ref = _reference_vectors(theta, eps)
+        ref = kernel_reference(theta, eps)
         holds = holds & (ref[..., 4] * (ref[..., 0] - ref[..., 3]) > 0.0)
     return holds if np.ndim(holds) else bool(holds)
 
@@ -298,9 +297,7 @@ def _bracket_form(subspace: np.ndarray) -> np.ndarray:
 _BLOCK = 32
 _TILE = 4
 # Most frames per pass of `_WedgeObjective.model`, which holds about 40 kB
-# per pair frame.  `value` takes its frames in one pass: no caller passes it
-# more than `MAX_DESCENT_FRAMES`, and a descent over that many frames holds
-# more per frame.
+# per pair frame, and per call of it on the trial frames of `_newton_search`.
 _MODEL_FRAMES = 32
 
 
@@ -394,13 +391,6 @@ class _WedgeObjective:
 
     def _group(self, group):
         return None if group is None or len(self.products) == 1 else np.asarray(group, np.intp)
-
-    def value(self, coords: np.ndarray, group=None) -> np.ndarray:
-        """Objective at the frames `coords` (n, d, 2), bit for bit the value
-        that `model` gives: the Newton ratio test compares the two."""
-        ay = self._apply(coords[:, :, 1], self._group(group), self.products)
-        res = (coords[:, None, :, 0] @ ay.reshape(-1, self.dim, self.rank))[:, 0]
-        return np.square(res).sum(axis=-1)
 
     def model(self, coords: np.ndarray, group=None):
         """Value, Riemannian gradient and Riemannian Hessian of the objective
@@ -525,40 +515,44 @@ def _newton_search(objective: _WedgeObjective, frames: np.ndarray, cap: int, gro
     Each frame solves (H + mu I) s = -grad in the coordinates of
     `_WedgeObjective.model`.  mu is a multiple of the largest diagonal entry
     of H, 1 at first, and is raised eightfold until H + mu I is positive
-    definite.  A step is accepted when the objective falls by more than 1e-4
-    of the decrease its model predicts, and mu moves by Nielsen's rule
-    (Madsen, Nielsen and Tingleff, "Methods for non-linear least squares
-    problems", 2004).  A frame stops when its gradient norm is at most
-    GRAD_TOL (converged), when a rejected step promised less than the
-    rounding of its value (stalled), or after `cap` iterations.  Only live
-    frames are evaluated, and every decision is per frame, so a frame's
-    trajectory does not depend on the others.  No model outlives its
-    iteration, which bounds memory.
+    definite.  Each trial frame gets its full model, and a step is accepted
+    when the objective falls by more than 1e-4 of the decrease the current
+    model predicts; an accepted frame carries the trial's model into the
+    next iteration and a rejected one keeps its own, so no frame is modelled
+    twice at one point.  mu moves by Nielsen's rule (Madsen, Nielsen and
+    Tingleff, "Methods for non-linear least squares problems", 2004).  A
+    frame stops when its gradient norm is at most GRAD_TOL (converged), when
+    a rejected step promised less than the rounding of its value (stalled),
+    or after `cap` iterations.  Only live frames are evaluated, and every
+    decision is per frame, so a frame's trajectory does not depend on the
+    others.
     """
     u = np.array(frames, dtype=float)
     count = len(u)
     group = np.zeros(count, dtype=np.intp) if group is None else np.asarray(group, np.intp)
-    value, grad_norm = np.empty(count), np.empty(count)
+    grad_norm = np.empty(count)
     iterations = np.zeros(count, dtype=np.intp)
     outcome = np.zeros(count, dtype=np.int8)
     live = np.arange(count)
     damping = np.ones(count)
     eps = np.finfo(float).eps
+    # every frame's model at its current point, indexed by frame
+    value, g, h, comp = objective.model(u, group)
+    stalled = np.zeros(count, dtype=bool)
     for done in range(cap + 1):
-        f, g, h, comp = objective.model(u[live], group[live])
-        norm = np.sqrt(np.square(g).sum(axis=-1))
-        value[live], grad_norm[live] = f, norm
+        grad_norm[live] = norm = np.sqrt(np.square(g[live]).sum(axis=-1))
         converged = norm <= GRAD_TOL
         outcome[live[converged]] = _CONVERGED
-        if converged.any():
-            keep = ~converged
-            live, f, g, h, comp, damping = (a[keep] for a in (live, f, g, h, comp, damping))
+        stop = converged | stalled
+        if stop.any():
+            live, damping = live[~stop], damping[~stop]
         if not live.size or done == cap:
             break
-        diag = np.arange(g.shape[1])
-        scale = np.abs(h[:, diag, diag]).max(axis=-1)
+        f, hess, grad = value[live], h[live], g[live]
+        diag = np.arange(grad.shape[1])
+        scale = np.abs(hess[:, diag, diag]).max(axis=-1)
         shift = damping * scale
-        factors = _bordered_factors(h, g, shift)
+        factors = _bordered_factors(hess, grad, shift)
         for _ in range(_MAX_RAISES):
             bad = np.flatnonzero(np.isnan(factors[:, -1, -1]))
             if not bad.size:
@@ -566,28 +560,34 @@ def _newton_search(objective: _WedgeObjective, frames: np.ndarray, cap: int, gro
             shift[bad] = np.maximum(8.0 * shift[bad], 1e-8 * scale[bad])
             for first in range(0, bad.size, _MODEL_FRAMES):  # bounds the copies
                 rows = bad[first:first + _MODEL_FRAMES]
-                factors[rows] = _bordered_factors(h[rows], g[rows], shift[rows])
-        del h
+                factors[rows] = _bordered_factors(hess[rows], grad[rows], shift[rows])
+        del hess, grad
         # a frame still indefinite takes a zero step, so it stalls below
         factors[np.isnan(factors[:, -1, -1])] = np.eye(factors.shape[1])
         step = _newton_steps(factors)
         # the model's decrease, from z = L^-1 grad in the factors' last row
         predicted = 0.5 * (np.square(factors[:, -1, :-1]).sum(axis=-1)
                            + shift * np.square(step).sum(axis=-1))
-        trial = _retract(u[live] + _tangent(comp, step))
-        del factors, comp
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = (f - objective.value(trial, group[live])) / predicted
-        accept = (ratio > 1e-4) & (predicted > 0.0)
+        del factors
+        trial = _retract(u[live] + _tangent(comp[live], step))
+        ratio, accept = np.empty(live.size), np.empty(live.size, dtype=bool)
+        # a pass of trial frames at a time, so that only one pass's models
+        # are held beside the current ones
+        for first in range(0, live.size, _MODEL_FRAMES):
+            part = slice(first, first + _MODEL_FRAMES)
+            rows = live[part]
+            model = objective.model(trial[part], group[rows])
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio[part] = (f[part] - model[0]) / predicted[part]
+            accept[part] = take = (ratio[part] > 1e-4) & (predicted[part] > 0.0)
+            for current, moved in zip((u, value, g, h, comp), (trial[part], *model)):
+                current[rows[take]] = moved[take]
         iterations[live] += 1
         fit = np.clip(np.nan_to_num(ratio), 0.0, 1.0)
         damping = np.maximum(np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * fit - 1.0) ** 3),
                                       4.0) * shift / scale, eps)
-        u[live[accept]] = trial[accept]
         stalled = ~accept & (predicted <= 4.0 * eps * f)
-        if stalled.any():
-            outcome[live[stalled]] = _STALLED
-            live, damping = live[~stalled], damping[~stalled]
+        outcome[live[stalled]] = _STALLED
     return u, value, grad_norm, iterations, outcome
 
 
@@ -944,9 +944,7 @@ def bracket_bounds(subspace: np.ndarray, seed: int = 0) -> tuple[float, float]:
     if gram_defect > 1e-10:
         raise ValueError("subspace must have orthonormal columns, got "
                          f"max |B^T B - I| = {gram_defect:.3e} above 1e-10")
-    seed = _integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed!r}")
+    seed = _search_sizes(_ATTAIN_STARTS, _ATTAIN_ITERATIONS, seed)[2]
     terms = _bracket_form(subspace)
     frames = _retract(np.random.default_rng(seed).standard_normal(
         (_ATTAIN_STARTS, subspace.shape[1], 2)))

@@ -300,7 +300,7 @@ def _checked_floor(basis, dual, witness) -> tuple[float, float]:
     value = math.nan
     if np.shape(witness) == (basis.shape[1], 2):
         frame = certify._retract(np.asarray(witness, dtype=float))
-        value = float(certify._WedgeObjective(terms[None]).value(frame[None])[0])
+        value = float(certify._WedgeObjective(terms[None]).model(frame[None])[0][0])
     return certify.verify_bound(terms, dual), value
 
 

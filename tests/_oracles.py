@@ -264,9 +264,10 @@ def retracted_bracket_floor(subspace: np.ndarray, samples: int, seed: int,
     """Least squared bracket over orthonormal pairs in `subspace` that
     sampling finds, an upper bound on the minimum independent of the
     certified bound: every draw orthonormalized and scored in chunks of
-    20,000, the best `refine_starts` of each chunk ranked by a full sort and
-    Newton-refined, and the floor the smaller of the best sample and the
-    best refined frame."""
+    20,000 by `liealg.bracket` and `liealg.g0_inner`, the best
+    `refine_starts` of each chunk ranked by a full sort and Newton-refined,
+    and the floor the smaller of the best sample and the best refined
+    frame."""
     objective = certify._WedgeObjective(certify._bracket_form(subspace)[None])
     rng = np.random.default_rng(seed)
     best_value = math.inf
@@ -276,7 +277,8 @@ def retracted_bracket_floor(subspace: np.ndarray, samples: int, seed: int,
         count = min(20_000, remaining)
         remaining -= count
         frames = certify._retract(rng.standard_normal((count, subspace.shape[1], 2)))
-        values = objective.value(frames)
+        pair = liealg.unvec_sp3(np.swapaxes(subspace @ frames, 1, 2))
+        values = liealg.g0_inner(*[liealg.bracket(pair[:, 0], pair[:, 1])] * 2)
         best_value = min(best_value, float(values.min()))
         keep = np.argsort(values)[:refine_starts]
         pool_frames.append(frames[keep])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -273,9 +274,6 @@ def test_batched_objective_gradient_and_residuals():
     rng = np.random.default_rng(4)
     u = certify._retract(rng.standard_normal((angle.size, 15, 2)))
     value = objective.model(u, angle)[0]
-    # the Newton ratio test compares `value` at a trial frame with `model`'s
-    # value at the current one, so the two must agree bit for bit
-    assert np.array_equal(objective.value(u, angle), value)
 
     for frame, a in enumerate(angle):
         coords = bases[a] @ u[frame]
@@ -287,7 +285,7 @@ def test_batched_objective_gradient_and_residuals():
     _assert_model_matches_differences(objective, u, rng, angle)
 
     subset = np.array([5, 1])
-    assert np.array_equal(objective.value(u[subset], angle[subset]), value[subset])
+    assert np.array_equal(objective.model(u[subset], angle[subset])[0], value[subset])
 
 
 def _points_and_bases(thetas):
@@ -351,16 +349,50 @@ def test_objective_rows_do_not_depend_on_the_batch(forms, group):
     dim = math.isqrt(2 * len(forms[0])) + 1
     u = certify._retract(rng.standard_normal((200, dim, 2)))
     model = objective.model(u, group)
-    assert np.array_equal(objective.value(u, group), model[0])
     for count in (1, 2, certify._BLOCK - 1, certify._BLOCK, certify._BLOCK + 1, 200):
         frames = np.sort(rng.choice(200, count, replace=False))
         sub_group = None if group is None else group[frames]
-        assert np.array_equal(objective.value(u[frames], sub_group), model[0][frames])
         for part, whole in zip(objective.model(u[frames], sub_group), model):
             assert np.array_equal(part, whole[frames])
         fresh = certify._WedgeObjective(forms)
         for part, whole in zip(fresh.model(u[frames], sub_group), model):
             assert np.array_equal(part, whole[frames])
+
+
+def _p_summand_search():
+    objective = certify._WedgeObjective(certify._bracket_form(certify.p_subspace_basis())[None])
+    frames = certify._retract(np.random.default_rng(0).standard_normal((64, 8, 2)))
+    return certify._newton_search(objective, frames, 200)
+
+
+@pytest.mark.parametrize("search,stalls", [
+    (lambda: certify.search_zero_plane(PI12, starts=200, iterations=500, seed=0), 0),
+    (lambda: certify.scan(0.05, 0.45, 3, 4, 120, 77), 0),
+    (_p_summand_search, 7),
+], ids=["pi-12-200-starts", "three-row-scan", "p-summand-with-stalls"])
+def test_search_models_each_frame_once_per_point(monkeypatch, search, stalls):
+    # the start frames, then one trial frame per live frame per iteration: an
+    # accepted trial carries its model, and a rejected or stalled frame is
+    # not modelled again
+    model, newton = certify._WedgeObjective.model, certify._newton_search
+    modelled, expected, stalled = [], [], []
+
+    def counted_model(self, coords, group=None):
+        modelled.append(len(coords))
+        return model(self, coords, group)
+
+    def counted_newton(objective, frames, cap, group=None):
+        out = newton(objective, frames, cap, group)
+        expected.append(len(frames) + int(out[3].sum()))
+        stalled.append(int(np.sum(out[4] == certify._STALLED)))
+        return out
+
+    monkeypatch.setattr(certify._WedgeObjective, "model", counted_model)
+    monkeypatch.setattr(certify, "_newton_search", counted_newton)
+    search()
+    assert len(expected) == 1
+    assert sum(modelled) == expected[0]
+    assert stalled == [stalls]
 
 
 def test_retraction_is_orthonormal_and_spans_the_qr_plane():
@@ -393,14 +425,13 @@ def _assert_model_matches_differences(objective, u, rng, group=None, step=1e-6,
     differences of the value along retracted random tangent directions;
     span(u + t Z) is a second-order retraction on the Grassmannian."""
     value, grad, hess, comp = objective.model(u, group)
-    assert np.array_equal(objective.value(u, group), value)
     assert np.max(np.abs(hess - np.swapaxes(hess, 1, 2))) <= 1e-12
     gram = np.swapaxes(comp, 1, 2) @ comp
     assert np.max(np.abs(gram - np.eye(comp.shape[2]))) <= 1e-13
     assert np.max(np.abs(np.swapaxes(u, 1, 2) @ comp)) <= 1e-13
 
     def along(coords, t):
-        return objective.value(certify._retract(u + t * certify._tangent(comp, coords)), group)
+        return objective.model(certify._retract(u + t * certify._tangent(comp, coords)), group)[0]
 
     for _ in range(3):
         coords = rng.standard_normal(grad.shape)
@@ -450,7 +481,7 @@ def test_bracket_floor_objective_is_squared_bracket(basis):
     objective = certify._WedgeObjective(certify._bracket_form(basis)[None])
     rng = np.random.default_rng(12)
     u = certify._retract(rng.standard_normal((6, basis.shape[1], 2)))
-    value = objective.value(u)
+    value = objective.model(u)[0]
     for frame in range(len(u)):
         coords = basis @ u[frame]
         b = liealg.bracket(liealg.unvec_sp3(coords[:, 0]), liealg.unvec_sp3(coords[:, 1]))
@@ -658,7 +689,7 @@ def test_sample_scores_are_the_retracted_values(subspace):
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
     pair = liealg.unvec_sp3(np.swapaxes(basis @ frames, 1, 2))
     expected = liealg.g0_inner(*[liealg.bracket(pair[:, 0], pair[:, 1])] * 2)
-    scores = objective.value(frames)
+    scores = objective.model(frames)[0]
     assert np.max(np.abs(scores / expected - 1.0)) <= 1e-12
     assert np.min(scores) >= certify.bracket_bounds(basis, 0)[0]
 
@@ -812,6 +843,18 @@ def test_bracket_floor_rejects_non_integral_sizes(name):
     assert certify.bracket_bounds(certify.p_subspace_basis(), **{name: np.int64(2)})[0] > 0.0
 
 
+@pytest.mark.parametrize("seed,message", [
+    (-1, "seed must be non-negative, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+], ids=["negative", "fractional"])
+def test_bracket_bounds_reject_a_seed_as_the_search_does(seed, message):
+    with pytest.raises(ValueError) as bounds_error:
+        certify.bracket_bounds(certify.p_subspace_basis(), seed)
+    with pytest.raises(ValueError) as search_error:
+        certify.search_zero_plane(PI12, seed=seed)
+    assert str(bounds_error.value) == str(search_error.value) == message
+
+
 def test_subspace_bases():
     p_basis = certify.p_subspace_basis()
     assert p_basis.shape == (21, 8)
@@ -892,16 +935,20 @@ CRITERION_10_GRID = np.linspace(0.05, np.pi / 6.0 - 0.01, 50)
 
 
 def test_certificates_compute_each_axis_reference_once(monkeypatch):
+    # `sign_certificate` takes its lines from `kernel_reference` too, one
+    # batched call per axis of its own
     real = certify.kernel_reference
     calls = []
 
     def counted(theta, epsilon):
-        calls.append((np.shape(theta), epsilon))
+        calls.append((sys._getframe(1).f_code.co_name, np.shape(theta), epsilon))
         return real(theta, epsilon)
 
     monkeypatch.setattr(certify, "kernel_reference", counted)
     certs = certify._certificates(CRITERION_10_GRID, embeddings.point_p(CRITERION_10_GRID))
-    assert sorted(calls) == [((50,), -1.0), ((50,), 1.0)]
+    assert sorted(calls) == [("_certificates", (50,), -1.0), ("_certificates", (50,), 1.0),
+                             ("sign_certificate", (50,), -1.0),
+                             ("sign_certificate", (50,), 1.0)]
     assert [cert.verdict for cert in certs] == ["positive"] * 50
 
 
