@@ -35,16 +35,17 @@ and each frame is modelled once per point: an accepted trial frame carries
 its value, gradient and Hessian into the next iteration.  `scan` runs that
 search for all its angles as batched descents.
 
-`bracket_bounds` bounds the same kind of form, the squared bracket on a
-subspace, from below, which certifies "commuting implies dependent" there.
-A 4-form vanishes on every decomposable wedge, so the least eigenvalue of
-the form's Gram matrix plus any 4-form matrix is a lower bound on the
-squared bracket of every orthonormal pair (Thorpe, "On the curvature tensor
-of a positively curved 4-manifold", 1972).  `plucker_bound` finds the best
-such 4-form with a small semidefinite program and returns its dual point;
-`verify_bound` certifies a dual point, stored or fresh, with one floating
-Cholesky factorization and a rounding margin.  The Newton search above
-gives the value the bound is compared with.
+`plucker_bound` bounds the same kind of form, the squared bracket on a
+subspace (`_bracket_form`), from below, which certifies "commuting implies
+dependent" there.  A 4-form vanishes on every decomposable wedge, so the
+least eigenvalue of the form's Gram matrix plus any 4-form matrix is a
+lower bound on the squared bracket of every orthonormal pair (Thorpe, "On
+the curvature tensor of a positively curved 4-manifold", 1972).
+`plucker_bound` finds the best such 4-form with a small semidefinite
+program and returns its dual point; `verify_bound` certifies a dual point,
+stored or fresh, with one floating Cholesky factorization and a rounding
+margin.  `biquot.checks` compares the bound with the squared bracket of an
+exact pair.
 
 Each objective pass cuts the rows of the frames that share a form into
 zero-padded blocks of at most `_BLOCK` rows, a whole number of `_TILE`-row
@@ -77,7 +78,6 @@ __all__ = [
     "Certificate",
     "SearchReport",
     "berger_complement_basis",
-    "bracket_bounds",
     "build_linear_system",
     "certify_theta",
     "kernel_reference",
@@ -266,7 +266,7 @@ def _pair_forms(points: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
     basis = np.stack(bases)
     # A_k, the k rows of the coordinate matrix of Ad_{p^-1}
     moved = np.swapaxes(liealg.vec_sp3(
-        liealg.adjoint(liealg.group_inverse(points)[:, None], _UNITS)), 1, 2)[:, _K]
+        liealg.adjoint(liealg.conj_transpose(points)[:, None], _UNITS)), 1, 2)[:, _K]
     kk = _STRUCTURE[_K, _K, _K]
     spanning = np.concatenate([_wedge_terms(basis, _STRUCTURE), _wedge_terms(basis[:, _K], kk),
                                _wedge_terms(moved @ basis, kk)], axis=-1)
@@ -731,10 +731,11 @@ def berger_complement_basis() -> np.ndarray:
     return out
 
 
-def _plucker_forms(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _plucker_forms(dim: int) -> tuple[np.ndarray, ...]:
     """Constraint matrices of `plucker_bound` on the wedge coordinates a < b
-    of R^dim, as (rows, cols, signs, starts): matrix i holds signs[k] at
-    (rows[k], cols[k]) for k from starts[i] up to the next start.
+    of R^dim, as (rows, cols, signs, starts, owner): matrix i holds signs[k]
+    at (rows[k], cols[k]) for k from starts[i] up to the next start, and
+    owner[k] is that i.
 
     Matrix 0 is the identity.  Matrix 1 + q is Omega(e_abcd) for the q-th
     a < b < c < d, with w^T Omega w = 2 (w_ab w_cd - w_ac w_bd + w_ad w_bc):
@@ -753,7 +754,18 @@ def _plucker_forms(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     rows = np.concatenate([diag, np.stack([ab, cd, ac, bd, ad, bc], axis=-1).ravel()])
     cols = np.concatenate([diag, np.stack([cd, ab, bd, ac, bc, ad], axis=-1).ravel()])
     signs = np.concatenate([np.ones(wedges), np.tile([1.0, 1.0, -1.0, -1.0, 1.0, 1.0], len(a))])
-    return rows, cols, signs, np.concatenate([[0], wedges + 6 * np.arange(len(a))])
+    starts = np.concatenate([[0], wedges + 6 * np.arange(len(a))])
+    owner = np.concatenate([np.zeros(wedges, dtype=np.intp),
+                            np.repeat(np.arange(1, len(starts)), 6)])
+    return rows, cols, signs, starts, owner
+
+
+def _combine(forms: tuple[np.ndarray, ...], wedges: int, y: np.ndarray) -> np.ndarray:
+    """sum_i y_i F_i (wedges, wedges) for the matrices F_i of `_plucker_forms`."""
+    rows, cols, signs, _, owner = forms
+    out = np.zeros((wedges, wedges))
+    out[rows, cols] = signs * y[owner]
+    return out
 
 
 def _max_step(half: np.ndarray, direction: np.ndarray) -> float:
@@ -813,15 +825,10 @@ def plucker_bound(terms) -> tuple[float, np.ndarray]:
     """
     terms, dim = _checked_terms(terms)
     wedges = len(terms)
-    rows, cols, signs, starts = _plucker_forms(dim)
-    owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows)))
+    forms = _plucker_forms(dim)
+    rows, cols, signs, starts, owner = forms
     unit = np.zeros(len(starts))
     unit[0] = 1.0
-
-    def combine(y):
-        out = np.zeros((wedges, wedges))
-        out[rows, cols] = signs * y[owner]
-        return out
 
     def pair(z):
         return np.add.reduceat(signs * z[..., rows, cols], starts, axis=-1)
@@ -830,14 +837,14 @@ def plucker_bound(terms) -> tuple[float, np.ndarray]:
         # (dy, dS, dX) toward X S = centering I, with the second-order
         # `corrector` term; dS = -sum_i dy_i F_i keeps the dual feasible
         dy = np.linalg.solve(schur, unit - centering * pair(s_inv) + pair(corrector @ s_inv))
-        ds = -combine(dy)
+        ds = -_combine(forms, wedges, dy)
         dx = centering * s_inv - x - (x @ ds + corrector) @ s_inv
         return dy, ds, 0.5 * (dx + dx.T)
 
     gram = terms @ terms.T
     scale = np.trace(gram) / wedges or 1.0
     x, y = np.eye(wedges) / wedges, -scale * unit
-    slack = gram - combine(y)
+    slack = gram - _combine(forms, wedges, y)
     factor = np.linalg.cholesky(slack)
     for _ in range(_SDP_ITERATIONS):
         gap = np.vdot(x, slack)
@@ -860,7 +867,7 @@ def plucker_bound(terms) -> tuple[float, np.ndarray]:
             step_x, step_s = _max_step(x_half, dx), _max_step(s_half, ds)
             damp = 0.9 + 0.09 * min(step_x, step_s)
             trial = y + damp * step_s * dy
-            trial_slack = gram - combine(trial)
+            trial_slack = gram - _combine(forms, wedges, trial)
             factor = np.linalg.cholesky(trial_slack)
         except np.linalg.LinAlgError:
             break
@@ -891,14 +898,12 @@ def verify_bound(terms, y) -> float:
     """
     terms, dim = _checked_terms(terms)
     wedges = len(terms)
-    rows, cols, signs, starts = _plucker_forms(dim)
+    forms = _plucker_forms(dim)
     y = np.asarray(y, dtype=float)
-    if y.shape != starts.shape or not np.all(np.isfinite(y)):
+    # forms[3] holds one start per matrix
+    if y.shape != forms[3].shape or not np.all(np.isfinite(y)):
         return -math.inf
-    omega = np.zeros((wedges, wedges))
-    omega[rows, cols] = signs * y[np.repeat(np.arange(len(starts)),
-                                            np.diff(starts, append=len(rows)))]
-    slack = terms @ terms.T - omega
+    slack = terms @ terms.T - _combine(forms, wedges, y)
     try:
         np.linalg.cholesky(slack)
     except np.linalg.LinAlgError:
@@ -912,44 +917,6 @@ def verify_bound(terms, y) -> float:
     formed = (gamma(terms.shape[1]) * (np.abs(terms) @ np.abs(terms).T)
               + u * np.abs(slack)).sum(axis=1).max()
     return float(y[0] - 2.0 * (rump + formed))
-
-
-# Random start frames, and the iteration cap, of the search that gives
-# `bracket_bounds` its attained value; on both subspaces every start
-# converges within a dozen iterations.
-_ATTAIN_STARTS = 8
-_ATTAIN_ITERATIONS = 50
-
-
-def bracket_bounds(subspace: np.ndarray, seed: int = 0) -> tuple[float, float]:
-    """Certified lower bound, and attained value, of the squared bracket
-    norm over orthonormal pairs in a subspace.
-
-    The bound is `plucker_bound` of the bracket's terms on the subspace; a
-    strictly positive bound certifies that commuting pairs in the subspace
-    are dependent.  The attained value is the least that `_newton_search`
-    reaches from `_ATTAIN_STARTS` orthonormalized normal frames drawn from
-    `seed`, for at most `_ATTAIN_ITERATIONS` iterations each; it is the
-    squared bracket of a pair, so the minimum lies between the two.
-    `subspace` holds the coordinates (21, d) of an orthonormal basis, d >= 2,
-    with max |B^T B - I| at most 1e-10.
-    """
-    subspace = np.asarray(subspace, dtype=float)
-    if subspace.ndim != 2 or subspace.shape[0] != 21 or subspace.shape[1] < 2:
-        raise ValueError("subspace must be a 2-D array with 21 rows and at least "
-                         f"2 columns, got shape {subspace.shape}")
-    if not np.all(np.isfinite(subspace)):
-        raise ValueError("subspace entries must be finite")
-    gram_defect = np.max(np.abs(subspace.T @ subspace - np.eye(subspace.shape[1])))
-    if gram_defect > 1e-10:
-        raise ValueError("subspace must have orthonormal columns, got "
-                         f"max |B^T B - I| = {gram_defect:.3e} above 1e-10")
-    seed = _search_sizes(_ATTAIN_STARTS, _ATTAIN_ITERATIONS, seed)[2]
-    terms = _bracket_form(subspace)
-    frames = _retract(np.random.default_rng(seed).standard_normal(
-        (_ATTAIN_STARTS, subspace.shape[1], 2)))
-    attained = _newton_search(_WedgeObjective(terms[None]), frames, _ATTAIN_ITERATIONS)[1]
-    return plucker_bound(terms)[0], float(attained.min())
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ modules, so a function patched on its module is the one checked.
 
 `positivity_floors` draws nothing: it checks the committed certificates of
 the two bracket floors, module data here, with one Cholesky factorization
-each (`certify.verify_bound`) and one evaluation at a stored witness frame.
-A tier-1 test reruns the solvers and regenerates that data.
+each (`certify.verify_bound`), and evaluates the squared bracket at an
+exact witness pair in each subspace.  A tier-1 test reruns the solver and
+regenerates the stored dual points; the witnesses are exact and need no
+regeneration.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ def vw_convention(rng: np.random.Generator, angles: int, margin: float) -> dict[
     x, y = zeroplane.pair_matrices(np.stack(pairs))
     v, w = (np.stack(part) for part in zip(*closed))
     defects = {}
-    for name, p in (("plus-sin", point), ("transpose", liealg.conj_transpose(point))):
-        pinv = liealg.group_inverse(p)
+    # P^-1 is the conjugate transpose of P, so the transpose's inverse is p(theta)
+    for name, pinv in (("plus-sin", liealg.conj_transpose(point)), ("transpose", point)):
         got_v, got_w = (liealg.split_kp(liealg.adjoint(pinv, m))[1] for m in (x, y))
         defects[name] = float(np.max([np.max(np.abs(got_v - v)), np.max(np.abs(got_w - w))]))
     return defects
@@ -218,12 +220,14 @@ def scalar_identities(points: int) -> tuple[tuple[int, ...], dict[str, tuple[flo
 
 
 # The committed certificates of the two bracket floors, on the p summand
-# (_P_*) and on the sp(2) complement of h2 (_BERGER_*): the dual point y
-# exactly as `certify.plucker_bound` returns it on the subspace's bracket
-# terms, and the best frame of `certify.bracket_bounds`' search at seed 909
-# (p) and 910 (complement).  The test that regenerates them is
-# `test_committed_floor_certificates_are_the_solvers_output` in
-# tests/test_certify.py.
+# (_P_*) and on the sp(2) complement of h2 (_BERGER_*).  The dual point y is
+# exactly what `certify.plucker_bound` returns on the subspace's bracket
+# terms; `test_committed_floor_certificates_are_the_solvers_output` in
+# tests/test_certify.py regenerates it.  The witness is an exact pair (21, 2)
+# in sp(3) coordinates: on p the unit coordinates 13 and 17; on the
+# complement (e_0 + 3 e_3) / sqrt(10) and e_1, g0-orthogonal to h2 since
+# phi3(i) has i-parts (3, -1) on the diagonal and phi3(j), phi3(k) a zero
+# (0, 0) entry.
 _P_DUAL = np.array([
     0.49999999999982386, 1.4999999999995752, 0.0, 0.0,
     0.0, 0.0, 0.0, 0.0,
@@ -245,16 +249,7 @@ _P_DUAL = np.array([
     0.0, 0.0, 1.4999999999995752,
 ])
 
-_P_WITNESS = np.array([
-    [-0.3426285277385941, -0.2512261464696881],
-    [-0.7358225231753824, -0.20398014726533986],
-    [-0.26604899449856073, -0.25581667048404994],
-    [0.2538584004381314, 0.1891562991470998],
-    [-0.1301757005583844, 0.42351556621231096],
-    [-0.25636137411800025, 0.10300150889338267],
-    [-0.33506197888392525, 0.7650779575126702],
-    [0.10493500165172731, -0.13688031895353628],
-])
+_P_WITNESS = np.eye(21)[:, [13, 17]]
 
 _BERGER_DUAL = np.array([
     0.3999999999999765, 0.39191835884529824, 0.0, 0.0,
@@ -268,40 +263,37 @@ _BERGER_DUAL = np.array([
     0.0, 0.0, 0.0, -0.07999999999999795,
 ])
 
-_BERGER_WITNESS = np.array([
-    [0.2890566801118393, -0.5492597784218459],
-    [0.3724913315356738, -0.09811298130278946],
-    [-0.09825075835804853, 0.13709160046748772],
-    [0.24293972366149533, 0.45076306671156136],
-    [0.7466800266322182, 0.305161013207491],
-    [-0.3836205443754564, 0.4125242603136757],
-    [-0.06578554951078419, -0.45100618637525014],
-])
+_BERGER_WITNESS = np.zeros((21, 2))
+_BERGER_WITNESS[[0, 3], 0] = np.array([1.0, 3.0]) / math.sqrt(10.0)
+_BERGER_WITNESS[1, 1] = 1.0
 
 
 def positivity_floors() -> tuple[tuple[float, float], tuple[float, float]]:
     """The committed certificates of the bracket floors, checked: on the p
     summand and on the sp(2) complement of h2, the bound that
     `certify.verify_bound` certifies from the stored dual point, and the
-    squared bracket at the stored witness frame, after `certify._retract`.
+    squared bracket g0([x, y], [x, y]) of the stored witness pair.
 
     The least squared bracket over orthonormal pairs in the subspace lies
     between the two.  Each subspace's bracket terms are formed afresh, so a
     stored point that does not fit them gives a bound of -inf, and a
-    witness of the wrong shape a value of NaN.  No program is solved and no
-    search is run.
+    witness that is not an orthonormal pair in the subspace, to 1e-12, a
+    value of NaN.  No program is solved and no search is run.
     """
     return (_checked_floor(certify.p_subspace_basis(), _P_DUAL, _P_WITNESS),
             _checked_floor(certify.berger_complement_basis(), _BERGER_DUAL, _BERGER_WITNESS))
 
 
 def _checked_floor(basis, dual, witness) -> tuple[float, float]:
-    terms = certify._bracket_form(basis)
     value = math.nan
-    if np.shape(witness) == (basis.shape[1], 2):
-        frame = certify._retract(np.asarray(witness, dtype=float))
-        value = float(certify._WedgeObjective(terms[None]).model(frame[None])[0][0])
-    return certify.verify_bound(terms, dual), value
+    if np.shape(witness) == (21, 2):
+        defect = np.max([np.max(np.abs(witness.T @ witness - np.eye(2))),
+                         np.max(np.abs(basis @ (basis.T @ witness) - witness))])
+        if defect <= 1e-12:
+            x, y = liealg.unvec_sp3(witness.T)
+            xy = liealg.bracket(x, y)
+            value = float(liealg.g0_inner(xy, xy))
+    return certify.verify_bound(certify._bracket_form(basis), dual), value
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +394,10 @@ def _suite_sign_certificate():
 
 
 def _suite_positivity_floors():
-    (p_bound, p_value), (berger_bound, berger_value) = positivity_floors()
-    return ("positivity-floors", p_bound >= 1e-6 and berger_bound >= 1e-6,
+    floors = positivity_floors()
+    (p_bound, p_value), (berger_bound, berger_value) = floors
+    # a NaN value fails too
+    return ("positivity-floors", all(1e-6 <= bound <= value for bound, value in floors),
             f"min |bracket|^2 over orthonormal pairs, certified bound and attained "
             f"value: p summand {p_bound:.9f} and {p_value:.9f}, "
             f"sp(2) complement of h2 {berger_bound:.9f} and {berger_value:.9f}")

@@ -33,7 +33,6 @@ __all__ = [
     "g0_inner",
     "g0_norm",
     "gram_residual",
-    "group_inverse",
     "identity",
     "mat_mul",
     "normalized_gram_residual",
@@ -150,11 +149,6 @@ def split_kp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sp2_project(a: np.ndarray) -> np.ndarray:
     """Projection onto the upper-left 2x2 block (the sp(2) summand)."""
     return np.asarray(a, dtype=float) * _SP2_MASK
-
-
-def group_inverse(p: np.ndarray) -> np.ndarray:
-    """Inverse of a unit-symplectic element, taken as the conjugate transpose."""
-    return conj_transpose(p)
 
 
 def adjoint(p: np.ndarray, a: np.ndarray) -> np.ndarray:

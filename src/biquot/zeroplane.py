@@ -150,7 +150,7 @@ def conditionB_residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def conditionC_residual(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Same stacked norm for the k- and p-brackets of the pair moved by Ad_{p^-1}."""
-    pinv = liealg.group_inverse(p)
+    pinv = liealg.conj_transpose(p)
     xk, xp = liealg.split_kp(liealg.adjoint(pinv, x))
     yk, yp = liealg.split_kp(liealg.adjoint(pinv, y))
     return _stacked_norm(

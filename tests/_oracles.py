@@ -197,7 +197,7 @@ def per_angle_vw_convention(rng: np.random.Generator, angles: int,
         x, y = zeroplane.pair_matrices(pair)
         v, w = zeroplane.vw_vectors(pair, theta)
         for name, p in (("plus-sin", point), ("transpose", liealg.conj_transpose(point))):
-            pinv = liealg.group_inverse(p)
+            pinv = liealg.conj_transpose(p)
             got_v = liealg.split_kp(liealg.adjoint(pinv, x))[1]
             got_w = liealg.split_kp(liealg.adjoint(pinv, y))[1]
             defects[name] += [np.max(np.abs(got_v - v)), np.max(np.abs(got_w - w))]
@@ -246,7 +246,7 @@ def pair_terms(points, bases) -> np.ndarray:
     structure, k, p = certify._STRUCTURE, certify._K, certify._P
     basis = np.stack(bases)
     transport = np.swapaxes(liealg.vec_sp3(
-        liealg.adjoint(liealg.group_inverse(points)[:, None], certify._UNITS)), 1, 2)
+        liealg.adjoint(liealg.conj_transpose(points)[:, None], certify._UNITS)), 1, 2)
     terms = [certify._wedge_terms(basis, structure)]
     for vectors in (basis, transport @ basis):
         terms.append(certify._wedge_terms(vectors[:, k], structure[k, k, k]))

@@ -610,14 +610,25 @@ BRACKET_BASES = {"p": certify.p_subspace_basis(),
                  "berger-complement": certify.berger_complement_basis()}
 
 
+def _bound(basis):
+    return certify.plucker_bound(certify._bracket_form(basis))[0]
+
+
+def _squared_bracket(pair):
+    """g0([x, y], [x, y]) for the pair (21, 2) of sp(3) coordinates (x, y)."""
+    x, y = liealg.unvec_sp3(pair.T)
+    return float(liealg.g0_inner(*[liealg.bracket(x, y)] * 2))
+
+
 @pytest.mark.parametrize("dim", [4, 7, 8])
 def test_plucker_forms_vanish_on_decomposable_wedges(dim):
     # a wrong sign would make the bound invalid, and on the two symmetric
     # subspaces no other check would notice
-    rows, cols, signs, starts = certify._plucker_forms(dim)
+    rows, cols, signs, starts, owner = certify._plucker_forms(dim)
     wedges = dim * (dim - 1) // 2
     forms = np.zeros((len(starts), wedges, wedges))
-    forms[np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows))), rows, cols] = signs
+    forms[owner, rows, cols] = signs
+    assert np.array_equal(owner[starts], np.arange(len(starts)))
     assert np.array_equal(forms[0], np.eye(wedges))
     forms = forms[1:]
     assert len(forms) == math.comb(dim, 4)
@@ -637,20 +648,21 @@ def test_plucker_forms_vanish_on_decomposable_wedges(dim):
                                            ("p", 1009), ("berger-complement", 1010)])
 def test_bracket_bounds_bracket_the_minimum(subspace, seed):
     basis = BRACKET_BASES[subspace]
-    bound, attained = certify.bracket_bounds(basis, seed)
+    bound = _bound(basis)
     floor = {"p": 0.5, "berger-complement": 0.4}[subspace]
     assert floor - 1e-10 <= bound <= floor
-    assert abs(attained - floor) <= 1e-12
     # the sampler the bound replaced, as an independent upper bound
-    sampled = retracted_bracket_floor(basis, 2000, seed)
-    assert bound <= sampled <= bound + 1e-9
+    attained = retracted_bracket_floor(basis, 2000, seed)
+    assert abs(attained - floor) <= 1e-12
+    assert bound <= attained <= bound + 1e-9
 
 
 def test_bracket_floor_quick():
-    p_bound, p_attained = certify.bracket_bounds(certify.p_subspace_basis(), seed=1)
+    p_bound = _bound(certify.p_subspace_basis())
+    p_attained = retracted_bracket_floor(certify.p_subspace_basis(), 2000, 1)
     assert 1e-6 <= p_bound <= p_attained <= 0.5 + 1e-6
-    berger_bound, berger_attained = certify.bracket_bounds(certify.berger_complement_basis(),
-                                                           seed=2)
+    berger_bound = _bound(certify.berger_complement_basis())
+    berger_attained = retracted_bracket_floor(certify.berger_complement_basis(), 2000, 2)
     assert 1e-6 <= berger_bound <= berger_attained <= 0.4 + 1e-6
 
 
@@ -666,10 +678,12 @@ def test_bracket_floor_matches_the_retracting_sampler(subspace, seed, samples, r
     # at the sizes the certified bound replaced: a full run, a last chunk of
     # 5 draws past a multiple of 1024, and fewer draws than refine starts
     basis = BRACKET_BASES[subspace]
-    bound, attained = certify.bracket_bounds(basis, seed)
+    bound = _bound(basis)
     sampled = retracted_bracket_floor(basis, samples, seed, refine_starts)
     assert bound <= sampled <= bound + 1e-9
-    assert bound <= attained <= bound + 1e-9
+    # the exact witness pair that `checks.positivity_floors` evaluates
+    witness = {"p": checks._P_WITNESS, "berger-complement": checks._BERGER_WITNESS}[subspace]
+    assert bound <= _squared_bracket(witness) <= bound + 1e-9
 
 
 @pytest.mark.parametrize("subspace", BRACKET_BASES)
@@ -691,18 +705,21 @@ def test_sample_scores_are_the_retracted_values(subspace):
     expected = liealg.g0_inner(*[liealg.bracket(pair[:, 0], pair[:, 1])] * 2)
     scores = objective.model(frames)[0]
     assert np.max(np.abs(scores / expected - 1.0)) <= 1e-12
-    assert np.min(scores) >= certify.bracket_bounds(basis, 0)[0]
+    assert np.min(scores) >= _bound(basis)
 
 
 def test_bracket_bound_is_below_the_attained_value_on_a_random_subspace():
     basis = np.linalg.qr(np.random.default_rng(5).standard_normal((21, 6)))[0]
-    bound, attained = certify.bracket_bounds(basis, 3)
+    bound = _bound(basis)
+    attained = retracted_bracket_floor(basis, 2000, 3)
     assert 0.05 <= bound <= attained <= bound + 1e-9
 
 
 def test_bracket_bounds_are_zero_on_a_subspace_with_a_commuting_pair():
-    # coordinates 0 and 3 are the i-parts of two diagonal entries
-    bound, attained = certify.bracket_bounds(COMMUTING_SUBSPACE, 0)
+    # coordinates 0 and 3 are the i-parts of two diagonal entries, and they
+    # commute exactly
+    bound = _bound(COMMUTING_SUBSPACE)
+    attained = _squared_bracket(np.eye(21)[:, [0, 3]])
     assert -1e-12 <= bound <= 1e-12
     assert 0.0 <= attained <= 1e-12
 
@@ -767,34 +784,22 @@ def test_verify_bound_fails_closed():
     ("p", 909, "_P_DUAL", "_P_WITNESS"),
     ("berger-complement", 910, "_BERGER_DUAL", "_BERGER_WITNESS"),
 ])
-def test_committed_floor_certificates_are_the_solvers_output(monkeypatch, subspace, seed,
-                                                             dual, witness):
-    """The certificates that `checks.positivity_floors` verifies are the
-    solvers' output, bit for bit.
+def test_committed_floor_certificates_are_the_solvers_output(subspace, seed, dual, witness):
+    """The dual points that `checks.positivity_floors` verifies are the
+    solver's output, bit for bit, and its exact witness pairs are no worse
+    than the least value the sampler finds at `seed`.
 
-    To regenerate them, for each subspace basis B (`certify.p_subspace_basis`
-    with seed 909, `certify.berger_complement_basis` with 910): y is
-    `certify.plucker_bound(certify._bracket_form(B))[1]`, and the witness is
-    the frame of least value among the frames that `certify._newton_search`
-    returns inside `certify.bracket_bounds(B, seed)`.  Write each array into
-    `biquot/checks.py` with `repr` of every float, which round-trips.
+    To regenerate a dual point, for the subspace basis B
+    (`certify.p_subspace_basis` or `certify.berger_complement_basis`), y is
+    `certify.plucker_bound(certify._bracket_form(B))[1]`.  Write it into
+    `biquot/checks.py` with `repr` of every float, which round-trips.  The
+    witnesses are exact and are not regenerated.
     """
     basis = BRACKET_BASES[subspace]
-    bound, y = certify.plucker_bound(certify._bracket_form(basis))
+    _, y = certify.plucker_bound(certify._bracket_form(basis))
     assert y.tobytes() == getattr(checks, dual).tobytes()
-    searches = []
-    real = certify._newton_search
-
-    def spy(*args, **kwargs):
-        searches.append(real(*args, **kwargs))
-        return searches[-1]
-
-    monkeypatch.setattr(certify, "_newton_search", spy)
-    _, attained = certify.bracket_bounds(basis, seed)
-    (frames, value, *_), = searches
-    best = frames[np.argmin(value)]
-    assert best.tobytes() == getattr(checks, witness).tobytes()
-    assert value.min() == attained
+    value = _squared_bracket(getattr(checks, witness))
+    assert value <= retracted_bracket_floor(basis, 2000, seed) + 1e-15
 
 
 def test_positivity_floors_bracket_the_floors():
@@ -810,49 +815,18 @@ def test_positivity_floors_name_a_witness_of_the_wrong_shape(monkeypatch):
     assert math.isnan(p_value)
 
 
-def _skewed_p_basis():
-    """Unit columns spanning the p summand, the second at 45 degrees to the first."""
-    basis = certify.p_subspace_basis().copy()
-    basis[:, 1] = (basis[:, 0] + basis[:, 1]) / np.sqrt(2.0)
-    return basis
-
-
-@pytest.mark.parametrize("name,value,message", [
-    pytest.param("seed", -1, "must be non-negative, got -1", id="seed--1"),
-    pytest.param("subspace", np.eye(21)[:, :1], "must be a 2-D array", id="subspace-1-column"),
-    pytest.param("subspace", np.eye(21)[:, :0], "must be a 2-D array", id="subspace-0-columns"),
-    pytest.param("subspace", np.eye(5), "must be a 2-D array", id="subspace-5-rows"),
-    pytest.param("subspace", np.ones(21), "must be a 2-D array", id="subspace-1-d"),
-    pytest.param("subspace", np.full((21, 8), np.nan), "entries must be finite",
-                 id="subspace-nan"),
-    pytest.param("subspace", 2.0 * certify.p_subspace_basis(),
-                 "must have orthonormal columns", id="subspace-scaled"),
-    pytest.param("subspace", _skewed_p_basis(), "must have orthonormal columns",
-                 id="subspace-skewed"),
-])
-def test_bracket_floor_rejects_bad_sizes(name, value, message):
-    kwargs = {"subspace": certify.p_subspace_basis(), "seed": 0, name: value}
-    with pytest.raises(ValueError, match=f"^{name} {message}"):
-        certify.bracket_bounds(**kwargs)
-
-
-@pytest.mark.parametrize("name", ["seed"])
-def test_bracket_floor_rejects_non_integral_sizes(name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5"):
-        certify.bracket_bounds(certify.p_subspace_basis(), **{name: 1.5})
-    assert certify.bracket_bounds(certify.p_subspace_basis(), **{name: np.int64(2)})[0] > 0.0
-
-
-@pytest.mark.parametrize("seed,message", [
-    (-1, "seed must be non-negative, got -1"),
-    (1.5, "seed must be an integer, got 1.5"),
-], ids=["negative", "fractional"])
-def test_bracket_bounds_reject_a_seed_as_the_search_does(seed, message):
-    with pytest.raises(ValueError) as bounds_error:
-        certify.bracket_bounds(certify.p_subspace_basis(), seed)
-    with pytest.raises(ValueError) as search_error:
-        certify.search_zero_plane(PI12, seed=seed)
-    assert str(bounds_error.value) == str(search_error.value) == message
+@pytest.mark.parametrize("change", [
+    lambda pair: (1.0 + 1e-11) * pair,
+    lambda pair: np.roll(pair, 1, axis=0),
+], ids=["not-orthonormal", "off-the-subspace"])
+def test_positivity_floors_need_an_orthonormal_witness_in_the_subspace(monkeypatch, change):
+    # the rolled pair is (e_1 + 3 e_4) / sqrt(10) and e_2, and phi3(j) has a
+    # j-part at e_4, so the first leaves the complement of h2
+    monkeypatch.setattr(checks, "_BERGER_WITNESS", change(checks._BERGER_WITNESS))
+    (_, p_value), (berger_bound, berger_value) = checks.positivity_floors()
+    assert p_value == _squared_bracket(checks._P_WITNESS)
+    assert berger_bound > 0.0
+    assert math.isnan(berger_value)
 
 
 def test_subspace_bases():

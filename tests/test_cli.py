@@ -1,8 +1,10 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -431,6 +433,16 @@ def test_selftest_fails_the_floors_on_a_raised_dual_point(capsys, monkeypatch):
     assert out.splitlines()[-1] == "FAILED: positivity-floors"
 
 
+def test_selftest_fails_the_floors_on_a_witness_of_the_wrong_shape(capsys, monkeypatch):
+    # a witness that is not a pair in the subspace has value NaN, which fails
+    monkeypatch.setattr(checks, "_P_WITNESS", checks._P_WITNESS[:-1])
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    assert "FAIL positivity-floors" in out
+    assert "p summand 0.500000000 and nan" in out
+    assert out.splitlines()[-1] == "FAILED: positivity-floors"
+
+
 def test_selftest_runs_no_bracket_solver(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("selftest ran a bracket solver")
@@ -555,3 +567,11 @@ def test_selftest_names_an_ill_conditioned_kernel(capsys, monkeypatch):
     assert math.isfinite(worst) and worst >= certify.KERNEL_MATCH_MIN
     assert lines[-2].startswith("PASS positivity-floors")
     assert lines[-1] == "FAILED: kernel-two-path"
+
+
+def test_console_script_is_cli_main():
+    # `pip install .` makes `biquot` call the object pyproject.toml names
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["biquot"]
+    module, _, attribute = target.partition(":")
+    assert getattr(importlib.import_module(module), attribute) is cli.main

@@ -154,9 +154,9 @@ def test_adjoint_rejects_non_unitary():
         liealg.adjoint(bad, liealg.random_sp3(rng))
 
 
-def test_group_inverse():
+def test_conj_transpose_inverts_a_point():
     p = embeddings.p_matrix(0.9)
-    assert np.allclose(liealg.mat_mul(p, liealg.group_inverse(p)),
+    assert np.allclose(liealg.mat_mul(p, liealg.conj_transpose(p)),
                        liealg.identity(), atol=1e-15)
 
 
