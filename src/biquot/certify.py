@@ -44,8 +44,9 @@ the curvature tensor of a positively curved 4-manifold", 1972).
 `plucker_bound` finds the best such 4-form with a small semidefinite
 program and returns its dual point; `verify_bound` certifies a dual point,
 stored or fresh, with one floating Cholesky factorization and a rounding
-margin.  `biquot.checks` compares the bound with the squared bracket of an
-exact pair.
+margin.  `biquot.checks` verifies exact dual points on the exact bases of
+`p_subspace_basis` and `berger_complement_basis`, and compares each bound
+with the squared bracket of an exact pair.
 
 Each objective pass cuts the rows of the frames that share a form into
 zero-padded blocks of at most `_BLOCK` rows, a whole number of `_TILE`-row
@@ -70,7 +71,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import liealg
-from .embeddings import _angles_in, point_p, rho_rank
+from .embeddings import _angles_in, h2_basis, point_p, rho_rank
 from .liealg import unvec_sp3
 from .zeroplane import horizontal_basis
 
@@ -722,12 +723,18 @@ def p_subspace_basis() -> np.ndarray:
 
 
 def berger_complement_basis() -> np.ndarray:
-    """Orthonormal coordinates (21, 7) of the h2 orthocomplement inside sp(2)+0."""
-    from .embeddings import h2_basis
-
-    complement = liealg.null_space(liealg.vec_sp3(h2_basis())[:, liealg.SP2_COORDS])
-    out = np.zeros((21, complement.shape[1]))
-    out[liealg.SP2_COORDS, :] = complement
+    """Orthonormal coordinates (21, 7) of the h2 orthocomplement inside sp(2)+0,
+    with no SVD: the unit vectors on the sp(2) coordinates h2 never reaches
+    (1, 2, 9, 10), then each generator, which lives on its own two coordinates
+    (phi3(i) on 0, 3; phi3(j) on 4, 11; phi3(k) on 5, 12), turned there by a
+    right angle, (g_a, g_b) to (g_b, -g_a), and normalized."""
+    h2 = liealg.vec_sp3(h2_basis())
+    unreached = [c for c in liealg.SP2_COORDS if not h2[:, c].any()]
+    out = np.zeros((21, len(unreached) + len(h2)))
+    out[unreached, range(len(unreached))] = 1.0
+    for column, generator in enumerate(h2, start=len(unreached)):
+        a, b = np.flatnonzero(generator)
+        out[[a, b], column] = np.array([generator[b], -generator[a]]) / np.linalg.norm(generator)
     return out
 
 

@@ -12,13 +12,13 @@ modules, so a function patched on its module is the one checked.
 `positivity_floors` draws nothing: it checks the committed certificates of
 the two bracket floors, module data here, with one Cholesky factorization
 each (`certify.verify_bound`), and evaluates the squared bracket at an
-exact witness pair in each subspace.  A tier-1 test reruns the solver and
-regenerates the stored dual points; the witnesses are exact and need no
-regeneration.
+exact witness pair in each subspace.  Both the dual points and the
+witnesses are exact, so nothing is regenerated, and no solver or SVD runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -219,49 +219,38 @@ def scalar_identities(points: int) -> tuple[tuple[int, ...], dict[str, tuple[flo
             (float(np.min(c * s / (c**2 - s**2))), float(np.min(s / c))))
 
 
-# The committed certificates of the two bracket floors, on the p summand
-# (_P_*) and on the sp(2) complement of h2 (_BERGER_*).  The dual point y is
-# exactly what `certify.plucker_bound` returns on the subspace's bracket
-# terms; `test_committed_floor_certificates_are_the_solvers_output` in
-# tests/test_certify.py regenerates it.  The witness is an exact pair (21, 2)
-# in sp(3) coordinates: on p the unit coordinates 13 and 17; on the
-# complement (e_0 + 3 e_3) / sqrt(10) and e_1, g0-orthogonal to h2 since
-# phi3(i) has i-parts (3, -1) on the diagonal and phi3(j), phi3(k) a zero
-# (0, 0) entry.
-_P_DUAL = np.array([
-    0.49999999999982386, 1.4999999999995752, 0.0, 0.0,
-    0.0, 0.0, 0.0, 0.0,
-    0.0, 0.0, -0.4999999999998584, 0.0,
-    0.0, 0.0, 0.0, 0.4999999999998584,
-    0.0, 0.0, 0.0, 0.0,
-    0.0, -0.4999999999998584, 0.0, 0.0,
-    -0.4999999999998584, 0.0, 0.0, 0.0,
-    -0.4999999999998584, 0.4999999999998584, 0.0, 0.0,
-    0.0, 0.0, 0.0, 0.0,
-    0.0, 0.0, 0.0, 0.0,
-    0.0, 0.0, 0.4999999999998584, -0.4999999999998584,
-    0.0, 0.0, 0.0, -0.4999999999998584,
-    0.0, 0.0, -0.4999999999998584, 0.0,
-    0.0, 0.0, 0.0, 0.0,
-    0.4999999999998584, 0.0, 0.0, 0.0,
-    0.0, -0.4999999999998584, 0.0, 0.0,
-    0.0, 0.0, 0.0, 0.0,
-    0.0, 0.0, 1.4999999999995752,
-])
+def _dual(dim: int, floor: float, weights: dict) -> np.ndarray:
+    """y = (b, omega) on R^dim for `certify.verify_bound`: omega is `floor`
+    times `weights`, keyed by 4-sets, in `certify._plucker_forms` order, and
+    b is `floor` less 1e-13, which leaves S that much room for its Cholesky."""
+    quads = list(itertools.combinations(range(dim), 4))
+    y = np.zeros(1 + len(quads))
+    y[0] = floor - 1e-13
+    y[[1 + quads.index(quad) for quad in weights]] = floor * np.array(list(weights.values()))
+    return y
+
+
+# The committed certificates of the two bracket floors, exact, on the columns
+# of `certify.p_subspace_basis` (_P_*) and `certify.berger_complement_basis`
+# (_BERGER_*).  At these weights, which `certify.plucker_bound` converges to
+# (a tier-1 test checks it), T T^T - Omega(omega) has the exact eigenvalues
+# 1/2 (25 times) and 13/2 (3) on p, and 2/5 (18) and 6 (3) on the complement,
+# whose seven 4-sets complement the lines of a Fano plane.  The witness is an
+# exact pair (21, 2) in sp(3) coordinates: on p the unit coordinates 13 and
+# 17; on the complement (e_0 + 3 e_3) / sqrt(10) and e_1, g0-orthogonal to h2
+# since phi3(i) has i-parts (3, -1) on the diagonal and phi3(j), phi3(k) a
+# zero (0, 0) entry.
+_P_DUAL = _dual(8, 0.5, {
+    (0, 1, 2, 3): 3, (4, 5, 6, 7): 3, (0, 1, 4, 5): -1, (0, 1, 6, 7): 1,
+    (0, 2, 4, 6): -1, (0, 2, 5, 7): -1, (0, 3, 4, 7): -1, (0, 3, 5, 6): 1,
+    (1, 2, 4, 7): 1, (1, 2, 5, 6): -1, (1, 3, 4, 6): -1, (1, 3, 5, 7): -1,
+    (2, 3, 4, 5): 1, (2, 3, 6, 7): -1})
 
 _P_WITNESS = np.eye(21)[:, [13, 17]]
 
-_BERGER_DUAL = np.array([
-    0.3999999999999765, 0.39191835884529824, 0.0, 0.0,
-    0.0, 0.0, 0.0, -0.07999999999999786,
-    0.39999999999998953, 0.0, 0.0, 0.0,
-    -0.07999999999999788, 0.0, 0.0, -0.39999999999998953,
-    0.0, 0.0, 0.0, 0.39191835884529824,
-    0.0, -0.0799999999999979, 0.0, 0.0,
-    0.0, 0.0, 0.3999999999999896, 0.0,
-    0.391918358845298, 0.0, 0.0, 0.3919183588452981,
-    0.0, 0.0, 0.0, -0.07999999999999795,
-])
+_BERGER_DUAL = _dual(7, 0.4, {
+    (0, 1, 2, 3): -1, (0, 1, 5, 6): 1, (0, 2, 4, 6): 1, (0, 3, 4, 5): -1,
+    (1, 2, 4, 5): 1, (1, 3, 4, 6): 1, (2, 3, 5, 6): -1})
 
 _BERGER_WITNESS = np.zeros((21, 2))
 _BERGER_WITNESS[[0, 3], 0] = np.array([1.0, 3.0]) / math.sqrt(10.0)

@@ -5,12 +5,14 @@ Each test prints a single PASS line once its assertions hold; run with
 run the checks behind `biquot selftest`, the functions of `biquot.checks`,
 at their own seeds and sizes, and assert their own tolerances on the
 numbers those return.  Criterion 9 draws nothing: it checks the committed
-bracket-floor certificates that the `positivity-floors` suite checks.
+bracket-floor certificates that the `positivity-floors` suite checks,
+with the same test.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from biquot import certify, checks, cli, embeddings, liealg, zeroplane
 
@@ -131,10 +133,18 @@ def test_criterion_08_search_certificate():
 
 def test_criterion_09_positivity_oracles():
     (p_bound, p_value), (berger_bound, berger_value) = checks.positivity_floors()
-    assert p_bound >= 1e-6
-    assert berger_bound >= 1e-6
+    # as in `positivity-floors`: each bound at most its witness value, so a
+    # NaN value fails
+    assert 1e-6 <= p_bound <= p_value
+    assert 1e-6 <= berger_bound <= berger_value
     print(f"PASS criterion 9: certified positivity floors (attained) p = {p_bound:.9f} "
           f"({p_value:.9f}), sp(2) complement of h2 = {berger_bound:.9f} ({berger_value:.9f})")
+
+
+def test_criterion_09_fails_on_a_witness_of_the_wrong_shape(monkeypatch):
+    monkeypatch.setattr(checks, "_P_WITNESS", checks._P_WITNESS[:-1])
+    with pytest.raises(AssertionError):
+        test_criterion_09_positivity_oracles()
 
 
 def test_criterion_10_end_to_end_scan(tmp_path):

@@ -785,19 +785,17 @@ def test_verify_bound_fails_closed():
     ("berger-complement", 910, "_BERGER_DUAL", "_BERGER_WITNESS"),
 ])
 def test_committed_floor_certificates_are_the_solvers_output(subspace, seed, dual, witness):
-    """The dual points that `checks.positivity_floors` verifies are the
-    solver's output, bit for bit, and its exact witness pairs are no worse
-    than the least value the sampler finds at `seed`.
-
-    To regenerate a dual point, for the subspace basis B
-    (`certify.p_subspace_basis` or `certify.berger_complement_basis`), y is
-    `certify.plucker_bound(certify._bracket_form(B))[1]`.  Write it into
-    `biquot/checks.py` with `repr` of every float, which round-trips.  The
-    witnesses are exact and are not regenerated.
-    """
+    """The exact dual points that `checks.positivity_floors` verifies are the
+    ones `plucker_bound` converges to: its omega matches the committed one
+    entry by entry, and its bound the committed point's bound, to 1e-12.
+    The exact witness pairs are no worse than the least value the sampler
+    finds at `seed`."""
     basis = BRACKET_BASES[subspace]
-    _, y = certify.plucker_bound(certify._bracket_form(basis))
-    assert y.tobytes() == getattr(checks, dual).tobytes()
+    terms = certify._bracket_form(basis)
+    bound, y = certify.plucker_bound(terms)
+    committed = getattr(checks, dual)
+    assert np.max(np.abs(y[1:] - committed[1:])) <= 1e-12
+    assert abs(bound - certify.verify_bound(terms, committed)) <= 1e-12
     value = _squared_bracket(getattr(checks, witness))
     assert value <= retracted_bracket_floor(basis, 2000, seed) + 1e-15
 
@@ -806,6 +804,18 @@ def test_positivity_floors_bracket_the_floors():
     (p_bound, p_value), (berger_bound, berger_value) = checks.positivity_floors()
     assert 0.5 - 1e-12 <= p_bound <= p_value <= 0.5 + 1e-12
     assert 0.4 - 1e-12 <= berger_bound <= berger_value <= 0.4 + 1e-12
+
+
+def test_positivity_floors_run_no_solver_and_no_svd(monkeypatch):
+    expected = checks.positivity_floors()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the floors must not run this")
+
+    for module, name in ((liealg, "null_space"), (np.linalg, "svd"),
+                         (certify, "plucker_bound"), (certify, "_newton_search")):
+        monkeypatch.setattr(module, name, refuse)
+    assert checks.positivity_floors() == expected
 
 
 def test_positivity_floors_name_a_witness_of_the_wrong_shape(monkeypatch):
@@ -837,20 +847,30 @@ def test_subspace_bases():
     assert berger.shape == (21, 7)
     elems = liealg.unvec_sp3(berger.T)
     assert np.max(np.abs(elems - liealg.sp2_project(elems))) == 0.0
-    h2 = embeddings.h2_basis()
-    cross = liealg.vec_sp3(h2) @ berger
-    assert np.max(np.abs(cross)) <= 1e-12
+    h2 = liealg.vec_sp3(embeddings.h2_basis())
+    assert np.max(np.abs(h2 @ berger)) <= 1e-15
     for basis in (p_basis, berger):
-        assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-10
+        assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-15
+    # the witness pair that `checks.positivity_floors` evaluates is a pair
+    # of basis columns, up to sign
+    for column in checks._BERGER_WITNESS.T:
+        assert min(np.max(np.abs(column - sign * b))
+                   for b in berger.T for sign in (1, -1)) <= 1e-15
 
 
 def test_subspace_bases_equal_the_index_list_recipe():
-    # the bases built from explicit index lists, bit for bit
+    # the bases built from explicit index lists, bit for bit: on the sp(2)
+    # complement of h2, the unit vectors on the coordinates h2 never
+    # reaches, then phi3(i), phi3(j), phi3(k), on (0, 3), (4, 11), (5, 12),
+    # each turned by a right angle; sqrt(6) is the sqrt(2) sqrt(3) of
+    # `vec_sp3` scaling phi3's off-diagonal sqrt(3)
     assert np.array_equal(certify.p_subspace_basis(), np.eye(21)[:, list(range(13, 21))])
-    sp2 = list(range(6)) + list(range(9, 13))
-    complement = liealg.null_space(liealg.vec_sp3(embeddings.h2_basis())[:, sp2])
-    expected = np.zeros((21, complement.shape[1]))
-    expected[sp2, :] = complement
+    r6, r10 = math.sqrt(2.0) * math.sqrt(3.0), math.sqrt(10.0)
+    expected = np.zeros((21, 7))
+    expected[[1, 2, 9, 10], [0, 1, 2, 3]] = 1.0
+    expected[[0, 3], 4] = -1.0 / r10, -3.0 / r10
+    expected[[4, 11], 5] = r6 / r10, 2.0 / r10
+    expected[[5, 12], 6] = r6 / r10, -2.0 / r10
     assert np.array_equal(certify.berger_complement_basis(), expected)
 
 
