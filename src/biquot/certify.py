@@ -250,9 +250,9 @@ def _wedge_terms(vectors: np.ndarray, structure: np.ndarray) -> np.ndarray:
     return (columns[..., None, :, :] @ half)[..., a, b, :]
 
 
-def _pair_forms(points: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
+def _pair_forms(points: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """Factors L (n, 105, 47) of the squared (B)+(C) residuals at the points
-    (n, 3, 3, 4), each on wedges of the columns of its basis in `bases`.
+    (n, 3, 3, 4), each on wedges of the columns of its basis (21, 15) in `bases`.
 
     The residual terms are T = [F | KK | PP | TKK | TPP]: the bracket
     F = [x, y], its parts KK = [x_k, y_k] and PP = [x_p, y_p], and the same
@@ -264,13 +264,12 @@ def _pair_forms(points: np.ndarray, bases: list[np.ndarray]) -> np.ndarray:
     exists.  The points go through every product as one stack, and each form
     equals the one its point alone gives.
     """
-    basis = np.stack(bases)
     # A_k, the k rows of the coordinate matrix of Ad_{p^-1}
     moved = np.swapaxes(liealg.vec_sp3(
         liealg.adjoint(liealg.conj_transpose(points)[:, None], _UNITS)), 1, 2)[:, _K]
     kk = _STRUCTURE[_K, _K, _K]
-    spanning = np.concatenate([_wedge_terms(basis, _STRUCTURE), _wedge_terms(basis[:, _K], kk),
-                               _wedge_terms(moved @ basis, kk)], axis=-1)
+    spanning = np.concatenate([_wedge_terms(bases, _STRUCTURE), _wedge_terms(bases[:, _K], kk),
+                               _wedge_terms(moved @ bases, kk)], axis=-1)
     # M M^T in the blocks of S: [[I + P_k^T P_k + A_k^T A_k, -P_k^T, -A_k^T],
     # [-P_k, 2 I, 0], [-A_k, 0, 2 I]], with P_k the k rows of the identity
     moved_t = np.swapaxes(moved, 1, 2)
@@ -460,9 +459,11 @@ def _retract(v: np.ndarray) -> np.ndarray:
     return np.stack([x, y], axis=-1)
 
 
-def _bordered_factors(hess: np.ndarray, grad: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of [[hess + shift I, grad], [grad^T, inf]],
-    all NaN for each frame whose hess + shift I is not positive definite.
+def _bordered_factors(hess: np.ndarray, grad: np.ndarray, frames: np.ndarray,
+                      shift: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of [[hess[f] + shift I, grad[f]], [grad[f]^T, inf]]
+    for the frames f in `frames`, gathered from the model arrays; all NaN for
+    each frame whose hess[f] + shift I is not positive definite.
 
     The last row of a factor is z = L^-1 grad, with L the factor of the
     shifted Hessian, and the infinite corner keeps the last pivot positive.
@@ -471,11 +472,14 @@ def _bordered_factors(hess: np.ndarray, grad: np.ndarray, shift: np.ndarray) -> 
     public API) fills only that matrix with NaN, so each frame's factor and
     its fallback depend on that frame alone.
     """
-    count, size = grad.shape
-    bordered = np.empty((count, size + 1, size + 1))
-    bordered[:, :size, :size] = hess
-    bordered[:, :size, size] = grad
-    bordered[:, size, :size] = grad
+    size = grad.shape[1]
+    bordered = np.empty((len(frames), size + 1, size + 1))
+    # np.take buffers an `out` that is not contiguous; passes bound that buffer
+    for first in range(0, len(frames), _MODEL_FRAMES):
+        part = slice(first, first + _MODEL_FRAMES)
+        np.take(hess, frames[part], axis=0, out=bordered[part, :size, :size])
+    np.take(grad, frames, axis=0, out=bordered[:, size, :size])
+    bordered[:, :size, size] = bordered[:, size, :size]
     bordered[:, size, size] = np.inf
     diag = np.arange(size)
     bordered[:, diag, diag] += shift[:, None]
@@ -549,20 +553,16 @@ def _newton_search(objective: _WedgeObjective, frames: np.ndarray, cap: int, gro
             live, damping = live[~stop], damping[~stop]
         if not live.size or done == cap:
             break
-        f, hess, grad = value[live], h[live], g[live]
-        diag = np.arange(grad.shape[1])
-        scale = np.abs(hess[:, diag, diag]).max(axis=-1)
+        f = value[live]
+        scale = np.abs(np.diagonal(h, axis1=1, axis2=2)[live]).max(axis=-1)
         shift = damping * scale
-        factors = _bordered_factors(hess, grad, shift)
+        factors = _bordered_factors(h, g, live, shift)
         for _ in range(_MAX_RAISES):
             bad = np.flatnonzero(np.isnan(factors[:, -1, -1]))
             if not bad.size:
                 break
             shift[bad] = np.maximum(8.0 * shift[bad], 1e-8 * scale[bad])
-            for first in range(0, bad.size, _MODEL_FRAMES):  # bounds the copies
-                rows = bad[first:first + _MODEL_FRAMES]
-                factors[rows] = _bordered_factors(hess[rows], grad[rows], shift[rows])
-        del hess, grad
+            factors[bad] = _bordered_factors(h, g, live[bad], shift[bad])
         # a frame still indefinite takes a zero step, so it stalls below
         factors[np.isnan(factors[:, -1, -1])] = np.eye(factors.shape[1])
         step = _newton_steps(factors)
@@ -624,16 +624,16 @@ def _search_rows(points: np.ndarray, starts: int, iterations: int,
     """Search at every point (n, 3, 3, 4), row r drawing its start frames
     from seeds[r] + index, as `search_zero_plane` at that point alone would.
 
+    Every row's horizontal basis comes from one `horizontal_basis` call.
     The frames, row after row, descend in consecutive chunks of at most
     `MAX_DESCENT_FRAMES`.  Each row keeps running totals over its slices of
     the chunks and its first best frame, so memory is O(rows).  Every frame
     descends independently, so each report matches the one-angle search.
     """
-    bases = [horizontal_basis(p) for p in points]
-    for basis in bases:
-        if basis.shape[1] != 15:
-            raise ValueError(
-                f"degenerate horizontal space of dimension {basis.shape[1]}, expected 15")
+    bases = horizontal_basis(points)
+    if bases.shape[-1] != 15:
+        raise ValueError(
+            f"degenerate horizontal space of dimension {bases.shape[-1]}, expected 15")
     rows = len(points)
     best = np.full(rows, math.inf)
     best_frame = np.zeros((rows, 15, 2))
@@ -662,20 +662,18 @@ def _search_rows(points: np.ndarray, starts: int, iterations: int,
             converged[row] += int(np.sum(outcome[span] == _CONVERGED))
             stalled[row] += int(np.sum(outcome[span] == _STALLED))
 
-    reports = []
-    for row, basis in enumerate(bases):
-        coords = basis @ best_frame[row]
-        reports.append(SearchReport(
-            starts=starts,
-            iterations=iterations,
-            min_residual=float(math.sqrt(max(float(best[row]), 0.0))),
-            argmin_pair=(unvec_sp3(coords[:, 0]), unvec_sp3(coords[:, 1])),
-            iterations_used=int(used[row]),
-            converged=int(converged[row]),
-            stalled=int(stalled[row]),
-            grad_norm=float(best_grad[row]),
-        ))
-    return reports
+    coords = bases @ best_frame
+    xs, ys = unvec_sp3(coords[..., 0]), unvec_sp3(coords[..., 1])
+    return [SearchReport(
+        starts=starts,
+        iterations=iterations,
+        min_residual=float(math.sqrt(max(float(best[row]), 0.0))),
+        argmin_pair=(xs[row], ys[row]),
+        iterations_used=int(used[row]),
+        converged=int(converged[row]),
+        stalled=int(stalled[row]),
+        grad_norm=float(best_grad[row]),
+    ) for row in range(rows)]
 
 
 def _integer(name: str, value) -> int:

@@ -50,10 +50,11 @@ def _require_output_dir(path: str) -> None:
 def cmd_check(args) -> int:
     if args.json is not None:
         _require_output_dir(args.json)
+    # the sizes and the seed are checked in every mode, before any work
+    certify._search_sizes(args.starts, args.iterations, args.seed)
     theta = math.radians(args.theta) if args.degrees else float(args.theta)
     report = None
     if args.mode in ("search", "both"):
-        # the search validates theta, its sizes and the seed before doing any work
         report = certify.search_zero_plane(theta, starts=args.starts,
                                            iterations=args.iterations, seed=args.seed)
     cert = certify.certify_theta(theta)

@@ -36,7 +36,6 @@ __all__ = [
     "identity",
     "mat_mul",
     "normalized_gram_residual",
-    "null_space",
     "random_sp3",
     "require_sp3",
     "skew_defect",
@@ -51,14 +50,6 @@ UNITARY_TOL = 1e-10
 
 _SQRT2 = np.sqrt(2.0)
 _OFF_DIAG = ((0, 1), (0, 2), (1, 2))
-
-# k keeps the upper-left 2x2 block and the (3,3) slot; p keeps the rest.
-_K_MASK = np.zeros((3, 3, 1))
-_K_MASK[:2, :2] = 1.0
-_K_MASK[2, 2] = 1.0
-_P_MASK = 1.0 - _K_MASK
-_SP2_MASK = np.zeros((3, 3, 1))
-_SP2_MASK[:2, :2] = 1.0
 
 
 def to_complex(a: np.ndarray) -> np.ndarray:
@@ -167,9 +158,9 @@ def adjoint(p: np.ndarray, a: np.ndarray) -> np.ndarray:
     return from_complex(cp @ to_complex(a) @ np.conj(np.swapaxes(cp, -2, -1)))
 
 
-# The masks' summands in the coordinates of `vec_sp3`, which puts the diagonal
-# slots at 0..8 and the off-diagonal slots (0,1), (0,2), (1,2) at 9..12,
-# 13..16 and 17..20: `_K_MASK`, `_P_MASK` and `_SP2_MASK` keep these.
+# The summands in the coordinates of `vec_sp3`, which puts the diagonal slots
+# at 0..8 and the off-diagonal slots (0,1), (0,2), (1,2) at 9..12, 13..16 and
+# 17..20; the masks of `split_kp` and `sp2_project` are built from these.
 K_COORDS = slice(0, 13)
 P_COORDS = slice(13, 21)
 SP2_COORDS = np.array([0, 1, 2, 3, 4, 5, 9, 10, 11, 12])
@@ -196,6 +187,15 @@ def unvec_sp3(x: np.ndarray) -> np.ndarray:
         out[..., c, r, 0] = -q[..., 0]
         out[..., c, r, 1:] = q[..., 1:]
     return out
+
+
+def _slot_mask(coords) -> np.ndarray:
+    """0/1 mask (3, 3, 1) of the slots whose `vec_sp3` coordinates lie in `coords`."""
+    slots = unvec_sp3(np.eye(21)[coords].sum(axis=0))
+    return np.any(slots != 0.0, axis=-1, keepdims=True).astype(float)
+
+
+_K_MASK, _P_MASK, _SP2_MASK = map(_slot_mask, (K_COORDS, P_COORDS, SP2_COORDS))
 
 
 def random_sp3(rng: np.random.Generator, size=None, normalized: bool = False) -> np.ndarray:
@@ -229,14 +229,3 @@ def normalized_gram_residual(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scale = np.where(scale == 0.0, 1.0, scale)
     return gram_residual(a / scale, b / scale)
 
-
-def null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (n, n - rank) of the null space of an (m, n) matrix.
-
-    From the full SVD; singular values above max(s) * eps * max(m, n) count
-    toward the rank.
-    """
-    a = np.asarray(a, dtype=float)
-    _, svals, vt = np.linalg.svd(a)
-    rank = int(np.sum(svals > svals.max(initial=0.0) * np.finfo(float).eps * max(a.shape)))
-    return vt[rank:].T

@@ -38,8 +38,9 @@ x1, x3, x4, y3.  Every equation and residual here is evaluated on stacks
 (..., 7, 4) of them; `pair_matrices` rebuilds X and Y, and `vw_vectors`
 returns v and w as p-summand matrices (..., 3, 3, 4).
 
-The conditions, `horizontal_basis` and the normal form take a point as its
-matrix (3, 3, 4), at any point of Sp(3); the equations take the angle theta.
+The conditions and the normal form take a point as its matrix (3, 3, 4), at
+any point of Sp(3), and `condition_basis` and `horizontal_basis` a stack of
+points (..., 3, 3, 4); the equations take the angle theta.
 """
 
 from __future__ import annotations
@@ -120,9 +121,11 @@ def pair_matrices(pairs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def condition_basis(p: np.ndarray) -> np.ndarray:
-    """Coordinates (6, 21) of the h1 triple conjugated by p, stacked over the h2 triple."""
-    rows = np.concatenate([embeddings.adp_h1_basis(p), embeddings.h2_basis()])
-    return liealg.vec_sp3(rows)
+    """Coordinates (..., 6, 21) of the h1 triple conjugated by each point of
+    the stack p (..., 3, 3, 4), stacked over the h2 triple."""
+    moved = embeddings.adp_h1_basis(p)
+    h2 = np.broadcast_to(embeddings.h2_basis(), moved.shape)
+    return liealg.vec_sp3(np.concatenate([moved, h2], axis=-4))
 
 
 def conditionA_residual(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -292,8 +295,16 @@ def lemma_equations_residuals(pairs, theta: float) -> tuple[np.ndarray, np.ndarr
 
 
 def horizontal_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal coordinate basis (21, d) of the condition-(A) subspace at p."""
-    return liealg.null_space(condition_basis(p))
+    """Orthonormal coordinate bases (..., 21, d) of the condition-(A) subspaces
+    at the points p (..., 3, 3, 4): the null spaces of their `condition_basis`,
+    past a rank counting singular values above max(s) * eps * 21, from one
+    stacked SVD that factors each matrix alone; points of different ranks raise."""
+    _, svals, vt = np.linalg.svd(condition_basis(p))
+    floor = svals.max(axis=-1, keepdims=True, initial=0.0) * np.finfo(float).eps * 21
+    ranks = np.sum(svals > floor, axis=-1).ravel()
+    if np.any(ranks != ranks[0]):
+        raise ValueError(f"condition bases of ranks {sorted(set(ranks.tolist()))} in one stack")
+    return np.ascontiguousarray(np.swapaxes(vt[..., ranks[0]:, :], -1, -2))
 
 
 def _draw(rng: np.random.Generator, slots, size: int | None,

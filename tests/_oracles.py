@@ -239,6 +239,14 @@ def per_angle_kernel_two_path(points: int) -> tuple[set[int], float]:
     return dims, float(np.min(matches))
 
 
+def haar_point(seed: int) -> np.ndarray:
+    """The polar factor U V^H of a quaternionic Gaussian's complex image: a
+    point of Sp(3) that no angle reaches."""
+    rng = np.random.default_rng(seed)
+    u, _, vh = np.linalg.svd(liealg.to_complex(rng.standard_normal((3, 3, 4))))
+    return liealg.from_complex(u @ vh)
+
+
 def pair_terms(points, bases) -> np.ndarray:
     """All 73 residual terms (n, 105, 73) of the squared (B)+(C) residuals:
     [x, y], the k-k and p-p brackets of the pair, and the same two brackets

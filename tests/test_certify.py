@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from _oracles import (bracket_terms, pair_terms, per_angle_kernel_two_path,
+from _oracles import (bracket_terms, haar_point, pair_terms, per_angle_kernel_two_path,
                       retracted_bracket_floor)
 
 from biquot import certify, checks, embeddings, liealg, zeroplane
@@ -252,11 +252,7 @@ def test_search_residual_matches_condition_residuals():
 
 
 def test_search_runs_at_a_point_off_the_curve():
-    # the polar factor U V^H of a quaternionic Gaussian's complex image is a
-    # point of Sp(3) that no angle reaches
-    rng = np.random.default_rng(11)
-    u, _, vh = np.linalg.svd(liealg.to_complex(rng.standard_normal((3, 3, 4))))
-    q = liealg.from_complex(u @ vh)
+    q = haar_point(11)
     assert zeroplane.horizontal_basis(q).shape == (21, 15)
     (report,) = certify._search_rows(q[None], 8, 200, [0])
     x, y = report.argmin_pair
@@ -290,7 +286,7 @@ def test_batched_objective_gradient_and_residuals():
 
 def _points_and_bases(thetas):
     points = embeddings.point_p(np.asarray(thetas))
-    return points, np.stack([zeroplane.horizontal_basis(p) for p in points])
+    return points, zeroplane.horizontal_basis(points)
 
 
 def _pair_forms(thetas):
@@ -456,16 +452,22 @@ def test_bordered_factors_mark_only_the_indefinite_frames():
     hess[[1, 4, 5]] -= 4.0 * np.eye(size)
     grad = rng.standard_normal((count, size))
     shift = np.full(count, 0.1)
-    factors = certify._bordered_factors(hess, grad, shift)
+    factors = certify._bordered_factors(hess, grad, np.arange(count), shift)
     shifted = hess + 0.1 * np.eye(size)
     indefinite = np.linalg.eigvalsh(shifted)[:, 0] < 0.0
     assert np.flatnonzero(indefinite).tolist() == [1, 4, 5]
+    # a gather out of order, with repeats and more frames than one pass of
+    # `_MODEL_FRAMES`, factors each frame as the whole stack does
+    subset = 7 * np.arange(certify._MODEL_FRAMES + 8) % count
+    gathered = certify._bordered_factors(hess, grad, subset, shift[subset])
+    for frame, got in zip(subset, gathered):
+        assert np.array_equal(got, factors[frame], equal_nan=True)
     for frame in range(count):
         if indefinite[frame]:
             assert np.all(np.isnan(factors[frame]))
             continue
         alone = certify._bordered_factors(hess[frame:frame + 1], grad[frame:frame + 1],
-                                          shift[frame:frame + 1])
+                                          np.array([0]), shift[frame:frame + 1])
         assert np.array_equal(factors[frame], alone[0])
         lower, half = factors[frame, :size, :size], factors[frame, size, :size]
         assert np.array_equal(lower, np.tril(lower))
@@ -548,9 +550,25 @@ def test_search_chunks_a_row_larger_than_a_descent(monkeypatch):
     _assert_same_report(whole[0], single)
 
 
+def test_search_builds_all_its_bases_in_one_call(monkeypatch):
+    calls = []
+    real = certify.horizontal_basis
+
+    def spy(points):
+        calls.append(points.shape)
+        return real(points)
+
+    monkeypatch.setattr(certify, "horizontal_basis", spy)
+    monkeypatch.setattr(certify, "MAX_DESCENT_FRAMES", 3)
+    certify.scan(0.1, 0.3, 3, 2, 5, 0)
+    certify.search_zero_plane(PI12, starts=2, iterations=5)
+    # one call per search, even when the rows' frames run in several descents
+    assert calls == [(3, 3, 3, 4), (1, 3, 3, 4)]
+
+
 def test_search_rejects_a_degenerate_horizontal_space(monkeypatch):
     real = certify.horizontal_basis
-    monkeypatch.setattr(certify, "horizontal_basis", lambda point: real(point)[:, 1:])
+    monkeypatch.setattr(certify, "horizontal_basis", lambda points: real(points)[..., 1:])
     with pytest.raises(ValueError,
                        match="^degenerate horizontal space of dimension 14, expected 15$"):
         certify.search_zero_plane(PI12, starts=2, iterations=5)
@@ -812,7 +830,7 @@ def test_positivity_floors_run_no_solver_and_no_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("the floors must not run this")
 
-    for module, name in ((liealg, "null_space"), (np.linalg, "svd"),
+    for module, name in ((zeroplane, "horizontal_basis"), (np.linalg, "svd"),
                          (certify, "plucker_bound"), (certify, "_newton_search")):
         monkeypatch.setattr(module, name, refuse)
     assert checks.positivity_floors() == expected

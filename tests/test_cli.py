@@ -65,6 +65,23 @@ def test_check_negative_seed_skips_algebra(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--starts", "-5", "starts must be at least 1, got -5"),
+    ("--iterations", "-2", "iterations must be non-negative, got -2"),
+    ("--seed", "-1", "seed must be non-negative, got -1"),
+], ids=["starts", "iterations", "seed"])
+def test_check_algebraic_mode_rejects_a_negative_search_size(capsys, monkeypatch, flag, value,
+                                                             message):
+    def no_work(theta):
+        raise AssertionError("certify_theta ran before the size was rejected")
+
+    monkeypatch.setattr(certify, "certify_theta", no_work)
+    code, out, err = run(capsys, ["check", "--theta", "0.3", flag, value])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_inconclusive_exit_two(capsys):
     code, out, _ = run(capsys, ["check", "--theta", "1.0"])
     assert code == 2
@@ -155,7 +172,7 @@ def test_check_json_reports_search_diagnostics(tmp_path, capsys):
 
 def test_check_degenerate_horizontal_space_exits_one(monkeypatch, capsys):
     real = certify.horizontal_basis
-    monkeypatch.setattr(certify, "horizontal_basis", lambda point: real(point)[:, 1:])
+    monkeypatch.setattr(certify, "horizontal_basis", lambda points: real(points)[..., 1:])
     code, out, err = run(capsys, ["check", "--theta", "0.2617993878", "--mode", "both",
                                   "--starts", "2", "--iterations", "5"])
     assert code == 1

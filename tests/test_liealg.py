@@ -123,6 +123,19 @@ def test_coordinate_sets_are_the_masks_in_vec_coordinates():
         expected = np.zeros(21, dtype=bool)
         expected[coords] = True
         assert np.array_equal(liealg.vec_sp3(part) != 0.0, expected)
+    # on random elements, each part is exactly its coordinate set's element
+    x = np.random.default_rng(12).standard_normal((100, 21))
+    a = liealg.unvec_sp3(x)
+
+    def kept(subset):
+        out = np.zeros_like(x)
+        out[:, subset] = x[:, subset]
+        return liealg.unvec_sp3(out)
+
+    k, p = liealg.split_kp(a)
+    assert np.array_equal(k, kept(liealg.K_COORDS))
+    assert np.array_equal(p, kept(liealg.P_COORDS))
+    assert np.array_equal(liealg.sp2_project(a), kept(liealg.SP2_COORDS))
 
 
 def test_adjoint_identity_and_closed_entries():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from _oracles import (mat_from_quaternions, per_angle_vw_convention,
+from _oracles import (haar_point, mat_from_quaternions, per_angle_vw_convention,
                       per_pair_linear_family_map, per_pair_mixed_pairs, scalar_lemma_equations,
                       slot_by_slot_random_pair, slot_by_slot_x_side, slot_by_slot_y_side)
 
@@ -346,6 +346,35 @@ def test_horizontal_basis_properties():
     assert basis.shape == (21, 15)
     assert np.allclose(basis.T @ basis, np.eye(15), atol=1e-12)
     assert np.max(np.abs(zeroplane.condition_basis(PT) @ basis)) <= 1e-12
+
+
+def test_batched_horizontal_basis_equals_the_one_point_calls():
+    # the criterion-10 angles, then a point off the curve
+    points = np.concatenate([embeddings.point_p(np.linspace(0.05, np.pi / 6.0 - 0.01, 50)),
+                             haar_point(11)[None]])
+    bases = zeroplane.horizontal_basis(points)
+    rows = zeroplane.condition_basis(points)
+    assert bases.shape == (51, 21, 15) and rows.shape == (51, 6, 21)
+    for point, basis, row in zip(points, bases, rows):
+        assert np.array_equal(zeroplane.horizontal_basis(point), basis)
+        assert np.array_equal(zeroplane.condition_basis(point), row)
+
+
+def test_horizontal_basis_is_the_null_space_at_any_rank(monkeypatch):
+    points = embeddings.point_p([0.1, 0.2])
+    rows = zeroplane.condition_basis(points)
+    rows[1, 5] = rows[1, 0]
+    # a rank-5 condition basis alone has a 16-dimensional null space
+    monkeypatch.setattr(zeroplane, "condition_basis", lambda p: rows[1])
+    basis = zeroplane.horizontal_basis(points[1])
+    assert basis.shape == (21, 16)
+    assert np.allclose(basis.T @ basis, np.eye(16), rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(rows[1] @ basis)) <= 1e-12
+    # in one stack with a rank-6 basis, it raises
+    monkeypatch.setattr(zeroplane, "condition_basis", lambda p: rows)
+    with pytest.raises(ValueError,
+                       match=r"^condition bases of ranks \[5, 6\] in one stack$"):
+        zeroplane.horizontal_basis(points)
 
 
 def test_batched_equations_match_scalar_oracle_and_per_pair_conditions():
